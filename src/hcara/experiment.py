@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -27,7 +27,7 @@ from .errors import InputError, SamplingError
 from .hconvex import NormalSet, PointSet, h_hull_contains
 from .invariants import caratheodory_number
 from .jsonio import require_keys, vector_to_json
-from .linear import Vector, primitive_direction, vadd, vscale, zero_vector
+from .linear import Vector, dot, primitive_direction, vadd, vscale, zero_vector
 from .shapes import cube_polytope
 from .strong import (
     Polytope,
@@ -95,26 +95,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
         require_keys(obj, (), "experiment config")
-        known = {
-            "seed", "trials", "dim", "max_normals", "max_points",
-            "coordinate_bound", "scaling_depth",
-        }
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown config fields {sorted(unknown)}")
-        kwargs = {}
-        for key in known:
-            if key in obj:
-                v = obj[key]
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InputError(f"config field {key!r} must be an integer")
-                if key in ("seed", "scaling_depth"):
-                    if v < 0:
-                        raise InputError(f"config field {key!r} must be >= 0")
-                elif v < 1:
-                    raise InputError(f"config field {key!r} must be >= 1")
-                kwargs[key] = v
-        return cls(**kwargs)
+        for key, v in obj.items():
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InputError(f"config field {key!r} must be an integer")
+        return cls(**obj)
 
 
 def _trial_rng(config: ExperimentConfig, trial_index: int, stream: int = 0) -> random.Random:
@@ -143,7 +130,7 @@ def _ray_exit_scale(K: Polytope, direction: Vector) -> Fraction | None:
     """Largest alpha with alpha * direction inside K (K must contain 0)."""
     best = None
     for a, b in zip(K.normals, K.offsets):
-        d = sum(x * y for x, y in zip(a, direction))
+        d = dot(a, direction)
         if d > 0:
             alpha = b / d
             if best is None or alpha < best:
@@ -272,12 +259,14 @@ def check_lower_bound_scaling(K: Polytope, depth: int, invariants=None) -> dict:
     }
 
 
-def check_upper_bounds(K: Polytope, X: PointSet, p: Vector, invariants=None) -> dict:
-    """Minimal-witness size against the hard facet bound and the conjectured
-    subset bound.  ``subset_bound_ok: False`` marks a counterexample candidate."""
+def check_upper_bounds(K: Polytope, witness: PointSet, invariants=None) -> dict:
+    """Size of ``witness``, the minimal strong witness of a query point (see
+    :func:`minimal_strong_witness`), against the hard facet bound and the
+    conjectured subset bound.  ``subset_bound_ok: False`` marks a
+    counterexample candidate."""
     H = K.normal_set()
     report = invariants if invariants is not None else caratheodory_number(H)
-    w = len(minimal_strong_witness(K, X, p))
+    w = len(witness)
     hard_bound = max(report.caratheodory, len(H) - 1)
     conj_bound = max(report.helly, report.relaxed_cone)
     record = {
@@ -297,10 +286,10 @@ def check_upper_bounds(K: Polytope, X: PointSet, p: Vector, invariants=None) -> 
     return record
 
 
-def check_guard_existence(K: Polytope, X: PointSet, p: Vector) -> dict:
-    """Derive a minimal witness for p and require a full guard assignment on
-    it; absence would be a hard violation."""
-    witness = minimal_strong_witness(K, X, p)
+def check_guard_existence(K: Polytope, witness: PointSet, p: Vector) -> dict:
+    """Require a full guard assignment on ``witness``, the minimal strong
+    witness of p (see :func:`minimal_strong_witness`); absence would be a
+    hard violation."""
     guards = guard_assignment(K, witness, p)
     return {
         "witness_size": len(witness),
@@ -351,8 +340,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict:
     H = K.normal_set()
     invariants = caratheodory_number(H)
 
-    upper = check_upper_bounds(K, X, p, invariants=invariants)
-    guard = check_guard_existence(K, X, p)
+    witness = minimal_strong_witness(K, X, p)
+    upper = check_upper_bounds(K, witness, invariants=invariants)
+    guard = check_guard_existence(K, witness, p)
     implication = {
         "ok": h_subset_strong_check(K, X, p) and h_subset_strong_check(K, X, q),
     }
@@ -472,6 +462,7 @@ def recheck_instance(polytope_json: dict, points_json: dict, query_json) -> dict
     K = Polytope.from_json(polytope_json)
     X = PointSet.from_json(points_json)
     p = vector_from_json(query_json, K.dim)
-    upper = check_upper_bounds(K, X, p)
-    guard = check_guard_existence(K, X, p)
+    witness = minimal_strong_witness(K, X, p)
+    upper = check_upper_bounds(K, witness)
+    guard = check_guard_existence(K, witness, p)
     return {"upper_bounds": upper, "guard": guard}

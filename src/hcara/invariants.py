@@ -221,17 +221,22 @@ def _hull_avoids_rest(H: NormalSet, idx) -> bool:
     )
 
 
-def cone_number(H: NormalSet) -> tuple[int, tuple[int, ...]]:
-    """Largest conical-position subset whose positive hull contains no other
-    normal, with its index witness."""
-    if not H.normals:
-        raise InputError("cone number of an empty normal set is undefined")
-    levels = _conical_levels(H)
+def _cone_from_levels(H: NormalSet, levels) -> tuple[int, tuple[int, ...]]:
+    """Largest subset in ``levels`` (as built by :func:`_conical_levels`)
+    whose positive hull contains no other normal; ties go to level order."""
     for level in reversed(levels):
         for idx in level:
             if _hull_avoids_rest(H, idx):
                 return (len(idx), idx)
     raise InternalConsistencyError("singletons always qualify")
+
+
+def cone_number(H: NormalSet) -> tuple[int, tuple[int, ...]]:
+    """Largest conical-position subset whose positive hull contains no other
+    normal, with its index witness."""
+    if not H.normals:
+        raise InputError("cone number of an empty normal set is undefined")
+    return _cone_from_levels(H, _conical_levels(H))
 
 
 def relaxed_cone_number(H: NormalSet) -> int:
@@ -248,14 +253,7 @@ def caratheodory_number(H: NormalSet) -> InvariantReport:
         raise InputError("caratheodory number of an empty normal set is undefined")
     helly, helly_witness = helly_number(H)
     levels = _conical_levels(H)
-    cone, cone_witness = 0, ()
-    for level in reversed(levels):
-        for idx in level:
-            if _hull_avoids_rest(H, idx):
-                cone, cone_witness = len(idx), idx
-                break
-        if cone:
-            break
+    cone, cone_witness = _cone_from_levels(H, levels)
     return InvariantReport(
         helly=helly,
         cone=cone,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
-from .hconvex import NormalSet, PointSet, h_hull_contains
+from .hconvex import NormalSet, PointSet, h_hull_contains, support
 from .invariants import positive_hull_contains
 from .jsonio import (
     positive_int,
@@ -161,10 +161,6 @@ class Polytope:
         )
 
 
-def _supports(K: Polytope, X: PointSet) -> list[Fraction]:
-    return [max(dot(a, x) for x in X.points) for a in K.normals]
-
-
 def _translate_rows(K: Polytope, supports):
     """X lies in K + t exactly when <a_i, t> >= support_i - b_i for every i."""
     return [
@@ -183,14 +179,18 @@ def _check_joint(K: Polytope, X: PointSet):
 def fits_in_translate(K: Polytope, X: PointSet) -> Vector | None:
     """A translate vector t with X inside K + t, or None if none exists."""
     _check_joint(K, X)
-    return feasible_point(_translate_rows(K, _supports(K, X)), K.dim, nonneg=False)
+    supports = [support(X, a) for a in K.normals]
+    return feasible_point(_translate_rows(K, supports), K.dim, nonneg=False)
 
 
 def _member_with_supports(K: Polytope, supports, p: Vector) -> bool:
-    """Membership via per-facet violation maxima; supports are precomputed."""
+    """Membership via per-facet violation maxima; supports are precomputed.
+    The facet LPs share their rows, so an infeasible one means X fits nowhere."""
     rows = _translate_rows(K, supports)
     for i, a in enumerate(K.normals):
         outcome = maximize(rows, vneg(a), K.dim, nonneg=False)
+        if outcome.status is LpStatus.INFEASIBLE:
+            raise PreconditionError("X does not fit in any translate of K")
         if outcome.status is not LpStatus.OPTIMAL:
             raise InternalConsistencyError(
                 "translate region of a bounded polytope must be bounded"
@@ -203,16 +203,13 @@ def _member_with_supports(K: Polytope, supports, p: Vector) -> bool:
 def strong_hull_contains(K: Polytope, X: PointSet, p: Vector) -> bool:
     """Membership of p in the intersection of all translates of K containing X.
 
-    Requires X to fit in some translate; the hull is undefined otherwise.
+    Raises PreconditionError unless X fits in some translate of K.
     """
     _check_joint(K, X)
     p = tuple(Fraction(c) for c in p)
     if len(p) != K.dim:
         raise InputError("query point has the wrong dimension")
-    supports = _supports(K, X)
-    if feasible_point(_translate_rows(K, supports), K.dim, nonneg=False) is None:
-        raise PreconditionError("X does not fit in any translate of K")
-    return _member_with_supports(K, supports, p)
+    return _member_with_supports(K, [support(X, a) for a in K.normals], p)
 
 
 def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
@@ -264,8 +261,8 @@ def h_subset_strong_check(K: Polytope, X: PointSet, p: Vector) -> bool:
     membership in the latter.  Always true mathematically; exercised as a
     runtime property."""
     _check_joint(K, X)
-    if fits_in_translate(K, X) is None:
-        raise PreconditionError("X does not fit in any translate of K")
     if h_hull_contains(K.normal_set(), X, p):
         return strong_hull_contains(K, X, p)
+    if fits_in_translate(K, X) is None:
+        raise PreconditionError("X does not fit in any translate of K")
     return True

@@ -36,7 +36,7 @@ from hcara.shapes import (
     simplex_polytope,
     simplex_with_extra_facet_normals,
 )
-from hcara.strong import h_subset_strong_check
+from hcara.strong import h_subset_strong_check, minimal_strong_witness
 from hcara.witness import cone_witness_points, helly_witness_points
 
 
@@ -184,10 +184,11 @@ def test_strong_convexity_properties_bulk():
 
             if not h_subset_strong_check(K, X, p) or not h_subset_strong_check(K, X, q):
                 violations.append((dim, i, "hull-implication"))
-            upper = check_upper_bounds(K, X, p, invariants=invariants)
+            witness = minimal_strong_witness(K, X, p)
+            upper = check_upper_bounds(K, witness, invariants=invariants)
             if not upper["facet_bound_ok"]:
                 violations.append((dim, i, "facet-upper-bound"))
-            guard = check_guard_existence(K, X, p)
+            guard = check_guard_existence(K, witness, p)
             if not guard["guard_ok"]:
                 violations.append((dim, i, "guard"))
             cube = _cube_equality_record(rng, dim, config.coordinate_bound)

@@ -124,6 +124,16 @@ class TestExitCodes:
                      "--point", "1,0"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"trials": 0}, {"dim": 9}, {"scaling_depth": -1}, {"seed": -3}],
+    )
+    def test_out_of_range_config_is_input_error(self, config, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(dump_canonical(config))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, files):
         with pytest.raises(SystemExit) as exc_info:
             main(["cara", files["cube3.json"], "--nope"])

@@ -15,7 +15,7 @@ from hcara.experiment import (
 )
 from hcara.jsonio import dump_canonical
 from hcara.shapes import cube_polytope, pyramid_polytope, simplex_polytope
-from hcara.strong import fits_in_translate
+from hcara.strong import fits_in_translate, minimal_strong_witness
 
 SMALL = ExperimentConfig(
     seed=7, trials=6, dim=2, max_normals=5, max_points=4,
@@ -39,11 +39,24 @@ class TestConfig:
             {"dim": 5},
             {"max_normals": 2, "dim": 2},
             {"seed": -1},
+            {"seed": 2 ** 64},
+            {"dim": 0},
+            {"max_normals": 0},
+            {"max_points": 0},
+            {"coordinate_bound": 0},
+            {"scaling_depth": -1},
         ],
     )
     def test_invariants(self, bad):
         with pytest.raises(InputError):
             ExperimentConfig(**bad)
+        with pytest.raises(InputError):
+            ExperimentConfig.from_json(bad)
+
+    @pytest.mark.parametrize("bad", [{"trials": True}, {"trials": "3"}])
+    def test_from_json_rejects_non_integers(self, bad):
+        with pytest.raises(InputError):
+            ExperimentConfig.from_json(bad)
 
 
 class TestRandomInstance:
@@ -70,7 +83,7 @@ class TestChecks:
     def test_upper_bounds_on_cube(self):
         K, X = random_instance(SMALL, 1)
         p = X.points[0]
-        record = check_upper_bounds(K, X, p)
+        record = check_upper_bounds(K, minimal_strong_witness(K, X, p))
         assert record["facet_bound_ok"] and record["subset_bound_ok"]
         assert record["witness_size"] == 1  # p is one of the points
 
@@ -80,7 +93,8 @@ class TestChecks:
         from hcara.hconvex import PointSet
 
         X = PointSet(2, ((F(0), F(0)),))
-        record = check_guard_existence(K, X, (F(0), F(0)))
+        p = (F(0), F(0))
+        record = check_guard_existence(K, minimal_strong_witness(K, X, p), p)
         assert record["guard_ok"] and record["witness_size"] == 1
 
     @pytest.mark.parametrize(

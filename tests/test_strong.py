@@ -150,6 +150,24 @@ class TestMinimalWitness:
         assert len(minimal_strong_witness(K, X, origin)) == 4
 
 
+class TestNonFittingX:
+    """X = {(0,0), (2,0)} fits in no translate of the unit square, so every
+    strong-hull question about it must raise PreconditionError."""
+
+    WIDE = PointSet(2, ((F(0), F(0)), (F(2), F(0))))
+
+    @pytest.mark.parametrize("p,inside", [((F(1), F(0)), True), ((F(5), F(5)), False)])
+    def test_h_subset_strong_check(self, p, inside):
+        assert h_hull_contains(CUBE2.normal_set(), self.WIDE, p) == inside
+        with pytest.raises(PreconditionError):
+            h_subset_strong_check(CUBE2, self.WIDE, p)
+
+    @pytest.mark.parametrize("p", [(F(1), F(0)), (F(5), F(5))])
+    def test_minimal_strong_witness(self, p):
+        with pytest.raises(PreconditionError):
+            minimal_strong_witness(CUBE2, self.WIDE, p)
+
+
 class TestGuards:
     def test_diagonal_example(self):
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
