@@ -16,10 +16,9 @@ Reports carry the full instance serialization so any record can be replayed.
 """
 from __future__ import annotations
 
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -82,15 +81,7 @@ class ExperimentConfig:
             raise InputError("scaling_depth must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "dim": self.dim,
-            "max_normals": self.max_normals,
-            "max_points": self.max_points,
-            "coordinate_bound": self.coordinate_bound,
-            "scaling_depth": self.scaling_depth,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
@@ -404,12 +395,9 @@ def _candidates_of(record: dict) -> list[dict]:
 def run_suite(config: ExperimentConfig, parallel: bool = False) -> dict:
     """Execute every check over all trials; deterministic given the seed.
 
-    With ``parallel`` the trials run in worker processes (unless the
-    HCARA_NO_PARALLEL environment variable is set); records are assembled in
-    trial order so the report does not depend on scheduling.
+    With ``parallel`` the trials run in worker processes; records are
+    assembled in trial order so the report does not depend on scheduling.
     """
-    if os.environ.get("HCARA_NO_PARALLEL") == "1":
-        parallel = False
     indices = range(config.trials)
     if parallel:
         with ProcessPoolExecutor() as pool:

@@ -123,6 +123,15 @@ class PointSet:
     def subset(self, indices) -> "PointSet":
         return PointSet(self.dim, tuple(self.points[i] for i in indices))
 
+    def minimal_subset(self, accepts) -> "PointSet":
+        """The first proper subset, in (size, lexicographic index) order,
+        whose index tuple passes ``accepts``; the set itself when none does."""
+        for k in range(1, len(self.points)):
+            for idx in combinations(range(len(self.points)), k):
+                if accepts(idx):
+                    return self.subset(idx)
+        return self
+
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -228,9 +237,4 @@ def minimal_h_witness(H: NormalSet, X: PointSet, p: Vector) -> PointSet:
     """
     if not h_hull_contains(H, X, p):
         raise PreconditionError("query point is not in the hull of X")
-    for k in range(1, len(X) + 1):
-        for idx in combinations(range(len(X)), k):
-            cand = X.subset(idx)
-            if h_hull_contains(H, cand, p):
-                return cand
-    raise PreconditionError("unreachable: X itself contains p")
+    return X.minimal_subset(lambda idx: h_hull_contains(H, X.subset(idx), p))

@@ -13,21 +13,8 @@ from .errors import InputError
 Vector = tuple[Fraction, ...]
 
 
-def as_vector(values) -> Vector:
-    """Coerce an iterable of ints/Fractions/strings to a Vector."""
-    out = tuple(Fraction(v) for v in values)
-    if not out:
-        raise InputError("vectors must have dimension >= 1")
-    return out
-
-
 def zero_vector(dim: int) -> Vector:
     return (Fraction(0),) * dim
-
-
-def check_dim(v: Vector, dim: int) -> None:
-    if len(v) != dim:
-        raise InputError(f"expected vector of dimension {dim}, got {len(v)}")
 
 
 def dot(a: Vector, b: Vector) -> Fraction:

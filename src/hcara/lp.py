@@ -1,9 +1,9 @@
 """Exact linear programming: two-phase primal simplex with Bland's rule.
 
-All pivoting happens in exact rational arithmetic (gmpy2.mpq when available,
-fractions.Fraction otherwise), so feasibility and optimality are decided with
-zero tolerance.  Bland's least-index rule for both the entering and leaving
-variable guarantees termination without any numerical safeguards.
+All pivoting happens in exact rational arithmetic (fractions.Fraction), so
+feasibility and optimality are decided with zero tolerance.  Bland's
+least-index rule for both the entering and leaving variable guarantees
+termination without any numerical safeguards.
 
 Strict inequalities are deliberately unsupported: callers encode strictness
 either through homogeneous rescaling (lambda > 0 becomes lambda >= 1) or by
@@ -18,13 +18,8 @@ from fractions import Fraction
 from .errors import InputError, InternalConsistencyError
 from .linear import Vector, dot
 
-try:
-    from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _q = Fraction
-
-_Q0 = _q(0)
-_Q1 = _q(1)
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 LE = "<="
 EQ = "="
@@ -80,14 +75,6 @@ class LpOutcome:
     status: LpStatus
     witness: Vector | None = None
     value: Fraction | None = None
-
-
-def _to_q(x):
-    return _q(x.numerator, x.denominator)
-
-
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
 
 
 def _pivot(T, z, basis, pr, pc):
@@ -165,13 +152,13 @@ def _simplex(num_vars, rows, objective, nonneg):
         row = [_Q0] * (rhs_ix + 1)
         for j, c in enumerate(coeffs):
             if c:
-                q = _to_q(c)
+                q = Fraction(c)
                 row[j] = q
                 if not nonneg:
                     row[num_vars + j] = -q
         if rel != EQ:
             row[slack_of[r]] = _Q1 if rel == LE else -_Q1
-        b = _to_q(rhs)
+        b = Fraction(rhs)
         if b < 0:
             row = [-v for v in row]
             b = -b
@@ -216,10 +203,10 @@ def _simplex(num_vars, rows, objective, nonneg):
     rhs_ix = ncols
 
     def extract():
-        vals = [Fraction(0)] * base
+        vals = [_Q0] * base
         for i, b in enumerate(basis):
             if b < base:
-                vals[b] = _to_fraction(T[i][rhs_ix])
+                vals[b] = T[i][rhs_ix]
         if nonneg:
             return tuple(vals)
         return tuple(vals[j] - vals[num_vars + j] for j in range(num_vars))
@@ -231,10 +218,9 @@ def _simplex(num_vars, rows, objective, nonneg):
     cost = [_Q0] * ncols
     for j, c in enumerate(objective):
         if c:
-            q = _to_q(c)
-            cost[j] = q
+            cost[j] = c
             if not nonneg:
-                cost[num_vars + j] = -q
+                cost[num_vars + j] = -c
     for j in range(ncols):
         z[j] = cost[j]
     for i, b in enumerate(basis):
@@ -251,21 +237,23 @@ def _simplex(num_vars, rows, objective, nonneg):
     return "optimal", extract()
 
 
-def _satisfies(coeffs, rel, rhs, point) -> bool:
-    v = dot(coeffs, point)
-    if rel == LE:
-        return v <= rhs
-    if rel == GE:
-        return v >= rhs
-    return v == rhs
-
-
-def _verify(rows, point):
+def _solve(rows, objective, num_vars, nonneg) -> LpOutcome:
+    """Run the simplex and verify any witness against every row by exact
+    substitution before building the outcome."""
+    status, witness = _simplex(num_vars, rows, objective, nonneg)
+    if status == "infeasible":
+        return LpOutcome(LpStatus.INFEASIBLE)
+    if status == "unbounded":
+        return LpOutcome(LpStatus.UNBOUNDED)
     for coeffs, rel, rhs in rows:
-        if not _satisfies(coeffs, rel, rhs, point):
+        v = dot(coeffs, witness)
+        if not (v <= rhs if rel == LE else v >= rhs if rel == GE else v == rhs):
             raise InternalConsistencyError(
                 f"simplex witness violates row {coeffs} {rel} {rhs}"
             )
+    if objective is None:
+        return LpOutcome(LpStatus.FEASIBLE, witness)
+    return LpOutcome(LpStatus.OPTIMAL, witness, dot(objective, witness))
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -275,15 +263,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     OPTIMAL, UNBOUNDED or INFEASIBLE.  Witnesses are verified against every
     row by exact substitution before being returned.
     """
-    status, witness = _simplex(lp.num_vars, lp.rows, lp.objective, nonneg=False)
-    if status == "infeasible":
-        return LpOutcome(LpStatus.INFEASIBLE)
-    if status == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
-    _verify(lp.rows, witness)
-    if status == "feasible":
-        return LpOutcome(LpStatus.FEASIBLE, witness)
-    return LpOutcome(LpStatus.OPTIMAL, witness, dot(lp.objective, witness))
+    return _solve(lp.rows, lp.objective, lp.num_vars, nonneg=False)
 
 
 def feasible_point(rows, num_vars, nonneg=False) -> Vector | None:
@@ -292,20 +272,9 @@ def feasible_point(rows, num_vars, nonneg=False) -> Vector | None:
     Lower-level sibling of :func:`solve` used by the geometry modules; with
     ``nonneg`` every variable is constrained to be >= 0 without explicit rows.
     """
-    status, witness = _simplex(num_vars, rows, None, nonneg)
-    if status == "infeasible":
-        return None
-    _verify(rows, witness)
-    return witness
+    return _solve(rows, None, num_vars, nonneg).witness
 
 
 def maximize(rows, objective, num_vars, nonneg=False) -> LpOutcome:
     """Maximize ``objective`` subject to rows; statuses as in :func:`solve`."""
-    objective = tuple(Fraction(c) for c in objective)
-    status, witness = _simplex(num_vars, rows, objective, nonneg)
-    if status == "infeasible":
-        return LpOutcome(LpStatus.INFEASIBLE)
-    if status == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
-    _verify(rows, witness)
-    return LpOutcome(LpStatus.OPTIMAL, witness, dot(objective, witness))
+    return _solve(rows, tuple(Fraction(c) for c in objective), num_vars, nonneg)

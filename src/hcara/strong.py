@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .hconvex import NormalSet, PointSet, h_hull_contains, support
@@ -219,12 +218,9 @@ def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
         raise PreconditionError("query point is not in the hull of X")
     p = tuple(Fraction(c) for c in p)
     dots = [[dot(a, x) for x in X.points] for a in K.normals]
-    for k in range(1, len(X)):
-        for idx in combinations(range(len(X)), k):
-            supports = [max(row[j] for j in idx) for row in dots]
-            if _member_with_supports(K, supports, p):
-                return X.subset(idx)
-    return X
+    return X.minimal_subset(lambda idx: _member_with_supports(
+        K, [max(row[j] for j in idx) for row in dots], p
+    ))
 
 
 def guard_assignment(K: Polytope, X: PointSet, p: Vector):

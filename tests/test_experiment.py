@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -124,14 +123,6 @@ class TestSuite:
         serial = run_suite(SMALL, parallel=False)
         parallel = run_suite(SMALL, parallel=True)
         assert dump_canonical(serial) == dump_canonical(parallel)
-
-    def test_no_parallel_env_forces_serial(self):
-        os.environ["HCARA_NO_PARALLEL"] = "1"
-        try:
-            report = run_suite(SMALL, parallel=True)
-        finally:
-            del os.environ["HCARA_NO_PARALLEL"]
-        assert dump_canonical(report) == dump_canonical(run_suite(SMALL))
 
     def test_records_replay(self):
         report = run_suite(ExperimentConfig(seed=11, trials=2, dim=2, scaling_depth=2))

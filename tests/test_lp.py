@@ -168,3 +168,25 @@ class TestProperties:
         out = maximize(bounded, unit, num_vars)
         assert out.status is LpStatus.OPTIMAL
         assert out.value == out.witness[j] <= 100
+
+
+class TestKernel:
+    def test_int_rows_give_fraction_witnesses(self):
+        point = feasible_point([((2,), GE, 1)], 1)
+        assert point == (F(1, 2),)
+        assert all(type(c) is F for c in point)
+        assert maximize([((3,), LE, 1)], (1,), 1).value == F(1, 3)
+
+    def test_beale_cycling_example_terminates(self):
+        # Textbook pivoting rules cycle on this degenerate LP; Bland's rule
+        # must terminate at the optimum.
+        rows = [
+            ((F(1, 4), F(-60), F(-1, 25), F(9)), LE, F(0)),
+            ((F(1, 2), F(-90), F(-1, 50), F(3)), LE, F(0)),
+            ((F(0), F(0), F(1), F(0)), LE, F(1)),
+        ]
+        objective = (F(3, 4), F(-150), F(1, 50), F(-6))
+        out = maximize(rows, objective, 4, nonneg=True)
+        assert out.status is LpStatus.OPTIMAL
+        assert out.value == F(1, 20)
+        assert out.witness == (F(1, 25), F(0), F(1), F(0))
