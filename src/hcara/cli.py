@@ -116,15 +116,15 @@ def _witness_summary(report) -> list[str]:
 
 def _cmd_witness(args) -> int:
     H = _load_normals(args.normals)
-    report_inv = caratheodory_number(H)
     if args.kind == "helly":
-        if report_inv.helly < 2:
+        value, witness = helly_number(H)
+        if value < 2:
             raise PreconditionError(
                 "this normal set has no simplex-with-origin subset"
             )
-        report = helly_witness_points(H, report_inv.helly_witness)
+        report = helly_witness_points(H, witness)
     else:
-        report = cone_witness_points(H, report_inv.cone_witness)
+        report = cone_witness_points(H, cone_number(H)[1])
     _emit(report.to_json(), args.json, _witness_summary(report))
     return 0
 

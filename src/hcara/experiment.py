@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import InputError, SamplingError
 from .hconvex import NormalSet, PointSet, h_hull_contains
-from .invariants import caratheodory_number
+from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
 from .linear import Vector, dot, primitive_direction, vadd, vscale, zero_vector
 from .shapes import cube_polytope

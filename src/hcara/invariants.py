@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalConsistencyError
 from .hconvex import NormalSet
-from .linear import Vector, is_zero_vector, rank, vsub
+from .linear import Vector, is_zero_vector, rank, vanishing_combination, vsub
 from .lp import EQ, GE, feasible_point
 
 __all__ = [
@@ -93,36 +93,14 @@ def positive_hull_contains(S, a: Vector) -> bool:
     return feasible_point(rows, len(S), nonneg=True) is not None
 
 
-def _positive_dependence(S):
-    """A coefficient vector lambda with lambda_i >= 1 and sum lambda_i s_i = 0,
-    or None.  Encoded as lambda = 1 + mu with mu >= 0."""
-    dim = len(S[0])
-    target = tuple(-sum((s[d] for s in S), Fraction(0)) for d in range(dim))
-    rows = [
-        (tuple(s[d] for s in S), EQ, target[d])
-        for d in range(dim)
-    ]
-    mu = feasible_point(rows, len(S), nonneg=True)
-    if mu is None:
-        return None
-    return tuple(1 + m for m in mu)
-
-
-def _origin_in_convex_hull(S) -> bool:
-    """True iff 0 is a convex combination of S (S nonempty)."""
-    dim = len(S[0])
-    rows = [
-        (tuple(s[d] for s in S), EQ, Fraction(0))
-        for d in range(dim)
-    ]
-    rows.append(((Fraction(1),) * len(S), EQ, Fraction(1)))
-    return feasible_point(rows, len(S), nonneg=True) is not None
-
-
 def is_simplex_with_origin(S) -> bool:
     """True iff S is minimally positively dependent: some strictly positive
     combination of all of S vanishes, and no proper subset has a nonzero
     nonnegative vanishing combination.
+
+    Decided by exact linear algebra, without an LP: S is minimally positively
+    dependent exactly when its vanishing combinations form a line (rank
+    |S| - 1) spanned by a strictly positive vector.
 
     A passing S is cross-checked to be affinely independent, which makes it
     the vertex set of a simplex with the origin in its relative interior.
@@ -130,12 +108,9 @@ def is_simplex_with_origin(S) -> bool:
     S = _same_dim(S)
     if not S:
         raise InputError("is_simplex_with_origin needs at least one vector")
-    if _positive_dependence(S) is None:
+    lam = vanishing_combination(S)
+    if lam is None or any(c <= 0 for c in lam):
         return False
-    for j in range(len(S)):
-        sub = S[:j] + S[j + 1:]
-        if sub and _origin_in_convex_hull(sub):
-            return False
     diffs = [vsub(s, S[0]) for s in S[1:]]
     if rank(diffs) != len(S) - 1:
         raise InternalConsistencyError(

@@ -159,3 +159,15 @@ def solve_linear(rows, rhs) -> Vector | None:
             for j in range(dim):
                 x[j] += y[i] * rows[i][j]
     return tuple(x)
+
+
+def vanishing_combination(vectors) -> Vector | None:
+    """The lambda with lambda_0 = 1 and sum lambda_i s_i = 0 when the vanishing
+    combinations of the vectors form a line (rank |S| - 1) that does not lie
+    in lambda_0 = 0; None otherwise."""
+    vectors = list(vectors)
+    if not vectors or rank(vectors) != len(vectors) - 1:
+        return None
+    first, rest = vectors[0], vectors[1:]
+    tail = solve_linear(list(zip(*rest)), [-c for c in first]) if rest else ()
+    return None if tail is None else (Fraction(1),) + tail

@@ -34,6 +34,35 @@ class LpStatus(Enum):
     UNBOUNDED = "UNBOUNDED"
 
 
+def _exact(value) -> Fraction:
+    if isinstance(value, float):
+        raise InputError(f"float {value!r} is not exact; pass an int or a Fraction")
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _checked(rows, objective, num_vars):
+    """(rows, objective) checked for shape, width and relation, every value a
+    Fraction; InputError on anything malformed."""
+    if num_vars < 1:
+        raise InputError("a linear program needs at least one variable")
+    checked = []
+    for row in rows:
+        try:
+            coeffs, rel, rhs = row
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed row {row!r}") from exc
+        if len(coeffs) != num_vars:
+            raise InputError(f"row has {len(coeffs)} coefficients, expected {num_vars}")
+        if rel not in RELATIONS:
+            raise InputError(f"unknown relation {rel!r}")
+        checked.append((tuple(_exact(c) for c in coeffs), rel, _exact(rhs)))
+    if objective is not None:
+        if len(objective) != num_vars:
+            raise InputError("objective length must equal num_vars")
+        objective = tuple(_exact(c) for c in objective)
+    return tuple(checked), objective
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """Rows ``coeffs <rel> rhs`` over ``num_vars`` free rational variables.
@@ -46,28 +75,9 @@ class LinearProgram:
     objective: Vector | None = None
 
     def __post_init__(self):
-        if self.num_vars < 1:
-            raise InputError("a linear program needs at least one variable")
-        rows = []
-        for row in self.rows:
-            try:
-                coeffs, rel, rhs = row
-            except ValueError as exc:
-                raise InputError(f"malformed row {row!r}") from exc
-            coeffs = tuple(Fraction(c) for c in coeffs)
-            if len(coeffs) != self.num_vars:
-                raise InputError(
-                    f"row has {len(coeffs)} coefficients, expected {self.num_vars}"
-                )
-            if rel not in RELATIONS:
-                raise InputError(f"unknown relation {rel!r}")
-            rows.append((coeffs, rel, Fraction(rhs)))
-        object.__setattr__(self, "rows", tuple(rows))
-        if self.objective is not None:
-            obj = tuple(Fraction(c) for c in self.objective)
-            if len(obj) != self.num_vars:
-                raise InputError("objective length must equal num_vars")
-            object.__setattr__(self, "objective", obj)
+        rows, objective = _checked(self.rows, self.objective, self.num_vars)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "objective", objective)
 
 
 @dataclass(frozen=True)
@@ -152,13 +162,12 @@ def _simplex(num_vars, rows, objective, nonneg):
         row = [_Q0] * (rhs_ix + 1)
         for j, c in enumerate(coeffs):
             if c:
-                q = Fraction(c)
-                row[j] = q
+                row[j] = c
                 if not nonneg:
-                    row[num_vars + j] = -q
+                    row[num_vars + j] = -c
         if rel != EQ:
             row[slack_of[r]] = _Q1 if rel == LE else -_Q1
-        b = Fraction(rhs)
+        b = rhs
         if b < 0:
             row = [-v for v in row]
             b = -b
@@ -238,8 +247,9 @@ def _simplex(num_vars, rows, objective, nonneg):
 
 
 def _solve(rows, objective, num_vars, nonneg) -> LpOutcome:
-    """Run the simplex and verify any witness against every row by exact
-    substitution before building the outcome."""
+    """Check and coerce the input, run the simplex and verify any witness
+    against every row by exact substitution before building the outcome."""
+    rows, objective = _checked(rows, objective, num_vars)
     status, witness = _simplex(num_vars, rows, objective, nonneg)
     if status == "infeasible":
         return LpOutcome(LpStatus.INFEASIBLE)
@@ -277,4 +287,4 @@ def feasible_point(rows, num_vars, nonneg=False) -> Vector | None:
 
 def maximize(rows, objective, num_vars, nonneg=False) -> LpOutcome:
     """Maximize ``objective`` subject to rows; statuses as in :func:`solve`."""
-    return _solve(rows, tuple(Fraction(c) for c in objective), num_vars, nonneg)
+    return _solve(rows, objective, num_vars, nonneg)

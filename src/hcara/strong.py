@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .hconvex import NormalSet, PointSet, h_hull_contains, support
@@ -23,7 +24,7 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import Vector, dot, is_zero_vector, vneg
+from .linear import Vector, dot, is_zero_vector, rank, vadd, vneg, zero_vector
 from .lp import GE, LE, LpStatus, feasible_point, maximize
 
 __all__ = [
@@ -36,20 +37,16 @@ __all__ = [
 ]
 
 
-def _axis_vector(dim, j, sign) -> Vector:
-    v = [Fraction(0)] * dim
-    v[j] = Fraction(sign)
-    return tuple(v)
-
-
 def spans_positively(normals, dim) -> bool:
     """True iff the positive hull of the normals is all of R^dim, which is
-    exactly boundedness of any polytope with those outer normals."""
-    for j in range(dim):
-        for sign in (1, -1):
-            if not positive_hull_contains(normals, _axis_vector(dim, j, sign)):
-                return False
-    return True
+    exactly boundedness of any polytope with those outer normals.
+
+    Decided as: the normals span R^dim and some strictly positive combination
+    of them vanishes, i.e. (lambda = 1 + mu) -(sum of the normals) lies in
+    their positive hull, one LP.
+    """
+    total = reduce(vadd, normals, zero_vector(dim))
+    return rank(normals) == dim and positive_hull_contains(normals, vneg(total))
 
 
 def interior_slack(normals, offsets, dim) -> Fraction:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import (
     InputError,
@@ -24,7 +23,7 @@ from .hconvex import (
     excluding_holds,
 )
 from .invariants import is_simplex_with_origin
-from .linear import dot, solve_linear, vscale
+from .linear import dot, primitive_direction, solve_linear, vanishing_combination, vscale
 from .lp import EQ, LE, feasible_point
 
 __all__ = [
@@ -82,24 +81,6 @@ def _checked_indices(H: NormalSet, B) -> tuple[int, ...]:
     return idx
 
 
-def _canonical_dependence(S) -> tuple[Fraction, ...]:
-    """The unique (up to scale) positive vanishing combination of a minimal
-    positively dependent family, scaled to primitive positive integers."""
-    dim = len(S[0])
-    rows = [tuple(s[d] for s in S[1:]) for d in range(dim)]
-    rhs = [-S[0][d] for d in range(dim)]
-    tail = solve_linear(rows, rhs)
-    if tail is None:
-        raise InternalConsistencyError("dependence system must be consistent")
-    lam = (Fraction(1),) + tail
-    if any(c <= 0 for c in lam):
-        raise InternalConsistencyError("dependence coefficients must be positive")
-    scale = lcm(*(c.denominator for c in lam))
-    ints = [int(c * scale) for c in lam]
-    g = gcd(*ints)
-    return tuple(Fraction(n // g) for n in ints)
-
-
 def helly_witness_points(H: NormalSet, B) -> WitnessReport:
     """Witness points for a maximal simplex-with-origin subset B.
 
@@ -114,7 +95,8 @@ def helly_witness_points(H: NormalSet, B) -> WitnessReport:
         raise InputError("a simplex-with-origin witness needs at least 2 normals")
     if not is_simplex_with_origin(S):
         raise InputError("B is not minimally positively dependent")
-    lam = _canonical_dependence(S)
+    # the positive vanishing combination of S in primitive integers
+    lam = primitive_direction(vanishing_combination(S))
     scaled = [vscale(S[i], lam[i]) for i in range(k)]
     points = []
     for i in range(k):

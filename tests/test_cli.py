@@ -5,7 +5,7 @@ import pytest
 from hcara.cli import main, parse_point
 from hcara.errors import InputError
 from hcara.jsonio import dump_canonical
-from hcara.shapes import cube_normals, cube_polytope
+from hcara.shapes import cube_normals, cube_polytope, triangle_normals
 from fractions import Fraction as F
 
 
@@ -19,6 +19,7 @@ def files(tmp_path):
         paths[name] = str(p)
 
     write("cube3.json", cube_normals(3).to_json())
+    write("triangle.json", triangle_normals().to_json())
     write("cube2p.json", cube_polytope(2).to_json())
     write("axis.json", {"dim": 3, "normals": [["1", "0", "0"]]})
     write("single.json", {"dim": 3, "points": [["0", "0", "0"]]})
@@ -73,6 +74,13 @@ class TestVerbs:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "CONE" and doc["covering_ok"] and doc["drop_one_ok"]
 
+    def test_helly_witness(self, files, capsys):
+        assert main(["witness", "--kind", "helly", files["triangle.json"], "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "HELLY" and doc["normals_used"] == [0, 1, 2]
+        assert len(doc["points"]["points"]) == 3
+        assert doc["covering_ok"] and doc["drop_one_ok"]
+
     def test_validate(self, files, capsys, tmp_path):
         pts = tmp_path / "w.json"
         pts.write_text(dump_canonical({"dim": 3, "points": [["0", "-1", "-1"], ["-1", "0", "-1"], ["-1", "-1", "0"]]}))
@@ -123,6 +131,10 @@ class TestExitCodes:
         code = main(["strong-member", files["cube2p.json"], str(far),
                      "--point", "1,0"])
         assert code == 3
+
+    def test_helly_witness_of_one_sided_set_is_3(self, files, capsys):
+        assert main(["witness", "--kind", "helly", files["axis.json"]]) == 3
+        assert "simplex-with-origin" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config",

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_normal_sets
-from oracles import brute_cone, brute_helly, brute_relaxed_cone
+from oracles import (
+    brute_cone,
+    brute_helly,
+    brute_relaxed_cone,
+    brute_simplex_with_origin,
+)
 
 from hcara.errors import InputError
 from hcara.hconvex import NormalSet
@@ -34,6 +39,25 @@ def nonzero_vectors(dim):
     return st.tuples(*([small_fractions] * dim)).filter(
         lambda v: any(c != 0 for c in v)
     )
+
+
+@st.composite
+def dependence_candidates(draw, dim):
+    """1..dim+2 vectors in R^dim with negative multiples of earlier members,
+    a negated positive combination and the zero vector drawn on purpose."""
+    S = draw(st.lists(nonzero_vectors(dim), min_size=1, max_size=dim + 2))
+    scales = st.sampled_from((F(1), F(2), F(1, 2)))
+    for i in range(1, len(S)):
+        if draw(st.integers(0, 3)) == 0:
+            j = draw(st.integers(0, i - 1))
+            c = draw(scales)
+            S[i] = tuple(-c * x for x in S[j])
+    if len(S) < dim + 2 and draw(st.booleans()):
+        coeffs = [draw(scales) for _ in S]
+        S.append(tuple(-sum(c * s[d] for c, s in zip(coeffs, S)) for d in range(dim)))
+    if draw(st.integers(0, 3)) == 0:
+        S[draw(st.integers(0, len(S) - 1))] = (F(0),) * dim
+    return draw(st.permutations(S))
 
 
 class TestPositiveHull:
@@ -69,6 +93,29 @@ class TestSimplexWithOrigin:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             is_simplex_with_origin([])
+
+    def test_zero_vectors(self):
+        zero, v = (F(0), F(0)), (F(1), F(2))
+        assert is_simplex_with_origin([zero])
+        assert not is_simplex_with_origin([zero, v])
+        assert not is_simplex_with_origin([v, zero])
+        assert not is_simplex_with_origin([zero, zero])
+
+    def test_decided_without_lp(self, monkeypatch):
+        import hcara.invariants
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the Helly test must not solve an LP")
+
+        monkeypatch.setattr(hcara.invariants, "feasible_point", no_lp)
+        assert is_simplex_with_origin([(F(-1), F(0)), (F(0), F(-1)), (F(1), F(1))])
+        assert not is_simplex_with_origin([(F(1), F(0)), (F(0), F(1)), (F(1), F(1))])
+        assert not is_simplex_with_origin(list(pyramid_normals(4).normals))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((2, 3)).flatmap(dependence_candidates))
+    def test_agrees_with_lp_definition(self, S):
+        assert is_simplex_with_origin(S) == brute_simplex_with_origin(S)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(nonzero_vectors(2), min_size=1, max_size=4))
@@ -212,6 +259,6 @@ class TestAgainstBruteForce:
             pyramid_normals(4),
         ] + random_normal_sets(8, seed=5, max_size=6)
         for H in sets:
-            assert helly_number(H)[0] == brute_helly(H)[0]
+            assert helly_number(H) == brute_helly(H)
             assert cone_number(H)[0] == brute_cone(H)[0]
             assert relaxed_cone_number(H) == brute_relaxed_cone(H)

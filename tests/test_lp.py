@@ -100,6 +100,27 @@ class TestValidation:
         with pytest.raises(InputError):
             LinearProgram(1, (), objective=(F(1), F(2)))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: feasible_point([((1,), "<", 0)], 1),
+            lambda: maximize([((1, 2), LE, 0)], (1,), 1),
+            lambda: maximize([((1,), LE, 0)], (1, 2), 1),
+            lambda: feasible_point([((0.1,), LE, 1)], 1),
+            lambda: LinearProgram(1, (((0.1,), LE, F(1)),)),
+        ],
+        ids=[
+            "feasible_point-unknown-relation",
+            "maximize-wrong-row-width",
+            "maximize-wrong-objective-width",
+            "feasible_point-float",
+            "LinearProgram-float",
+        ],
+    )
+    def test_every_entry_point_rejects_malformed_input(self, call):
+        with pytest.raises(InputError):
+            call()
+
 
 class TestDeterminism:
     def test_identical_programs_identical_outcomes(self):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_spans_positively
+
 from hcara.errors import InputError, PreconditionError
 from hcara.hconvex import PointSet, h_hull_contains
 from hcara.linear import vadd
@@ -18,6 +20,7 @@ from hcara.strong import (
     guard_assignment,
     h_subset_strong_check,
     minimal_strong_witness,
+    spans_positively,
     strong_hull_contains,
 )
 
@@ -64,6 +67,41 @@ class TestPolytopeInvariants:
         K = cube_polytope(3)
         assert len(K) == 6
         assert len(K.normal_set()) == 6
+
+
+@st.composite
+def normal_families(draw):
+    """(dim, normals) in dims 2 and 3; in dim 3 every normal is sometimes
+    drawn in one plane, so rank-deficient families come up often."""
+    dim = draw(st.sampled_from((2, 3)))
+    normals = draw(st.lists(vectors(dim), max_size=2 * dim + 1))
+    if dim == 3 and draw(st.booleans()):
+        normals = [(a, b, F(0)) for a, b, _ in normals]
+    return dim, normals
+
+
+class TestSpansPositively:
+    @pytest.mark.parametrize(
+        "dim, normals, expected",
+        [
+            (2, [(1, 0), (0, 1), (-1, -1)], True),
+            (2, [(1, 0), (0, 1), (1, 1)], False),  # one-sided
+            (2, [(1, 0), (-1, 0)], False),  # rank 1
+            (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], False),  # rank 2
+            (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)], False),
+            (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], True),
+        ],
+    )
+    def test_named_families(self, dim, normals, expected):
+        normals = [tuple(F(c) for c in a) for a in normals]
+        assert spans_positively(normals, dim) is expected
+        assert brute_spans_positively(normals, dim) is expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(normal_families())
+    def test_agrees_with_axis_definition(self, family):
+        dim, normals = family
+        assert spans_positively(normals, dim) == brute_spans_positively(normals, dim)
 
 
 class TestFits:
