@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from . import __version__
-from .errors import InputError, SamplingError
+from .errors import InputError, PreconditionError, SamplingError
 from .hconvex import NormalSet, PointSet, h_hull_contains
 from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
@@ -233,10 +233,16 @@ def check_lower_bound_scaling(K: Polytope, depth: int, invariants=None) -> dict:
     for i in range(depth + 1):
         eps = Fraction(1, 2 ** i)
         scaled = PointSet(K.dim, tuple(vscale(x, eps) for x in X.points))
-        if fits_in_translate(K, scaled) is None:
+        # The origin is in the H-hull of the witness, so it is in the strong
+        # hull whenever the scaled set fits: a PreconditionError means "does
+        # not fit" unless a fit exists, and then it is a real fault.
+        try:
+            size = len(minimal_strong_witness(K, scaled, origin))
+        except PreconditionError:
+            if fits_in_translate(K, scaled) is not None:
+                raise
             outcomes.append({"epsilon": str(eps), "outcome": "does-not-fit"})
             continue
-        size = len(minimal_strong_witness(K, scaled, origin))
         outcomes.append({"epsilon": str(eps), "outcome": "witness-size", "size": size})
         if size == target:
             certified_eps = eps

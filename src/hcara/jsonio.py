@@ -34,11 +34,13 @@ def rational_from_json(value) -> Fraction:
                 '"3", "-7/2"'
             )
         num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise InputError(f"zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"cannot parse rational {text[:20]}...: {exc}") from exc
+        if den == 0:
+            raise InputError(f"zero denominator in {value!r}")
+        return Fraction(num, den)
     raise InputError(f"cannot parse rational from {type(value).__name__}")
 
 
@@ -85,5 +87,5 @@ def load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
         raise InputError(f"{path} is not valid JSON: {exc}") from exc

@@ -48,6 +48,12 @@ def is_zero_vector(v: Vector) -> bool:
     return all(x == 0 for x in v)
 
 
+def clear_denominators(v) -> tuple[list[int], int]:
+    """``v`` times the lcm of its denominators, as ints, and that lcm."""
+    scale = lcm(*(x.denominator for x in v))
+    return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
 def primitive_direction(v: Vector) -> tuple[int, ...]:
     """Canonical integer representative of a nonzero vector's positive ray.
 
@@ -56,18 +62,9 @@ def primitive_direction(v: Vector) -> tuple[int, ...]:
     """
     if is_zero_vector(v):
         raise InputError("the zero vector has no direction")
-    scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
+    ints, _ = clear_denominators(v)
     g = gcd(*ints)
     return tuple(n // g for n in ints)
-
-
-def _integer_rows(vectors) -> list[list[int]]:
-    rows = []
-    for v in vectors:
-        scale = lcm(*(x.denominator for x in v)) if v else 1
-        rows.append([int(x * scale) for x in v])
-    return rows
 
 
 def rank(vectors) -> int:
@@ -79,7 +76,7 @@ def rank(vectors) -> int:
     for v in vectors:
         if len(v) != dim:
             raise InputError("rank: all vectors must share one dimension")
-    m = _integer_rows(vectors)
+    m = [clear_denominators(v)[0] for v in vectors]
     nrows = len(m)
     row = 0
     prev = 1

@@ -1,7 +1,10 @@
 """Exact linear programming: two-phase primal simplex with Bland's rule.
 
-All pivoting happens in exact rational arithmetic (fractions.Fraction), so
-feasibility and optimality are decided with zero tolerance.  Bland's
+The simplex pivots on an integer tableau: every row, the z-row included, is
+a positive integer multiple of its true rational row, and the row's own
+basic entry is its denominator.  Inputs arrive as ints or fractions.Fraction
+and witnesses leave as Fraction, so feasibility and optimality are decided
+with zero tolerance and no Fraction arithmetic inside the pivot loop.  Bland's
 least-index rule for both the entering and leaving variable guarantees
 termination without any numerical safeguards.
 
@@ -14,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError, InternalConsistencyError
-from .linear import Vector, dot
+from .linear import Vector, clear_denominators, dot
 
 _Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
 LE = "<="
 EQ = "="
@@ -87,26 +90,28 @@ class LpOutcome:
     value: Fraction | None = None
 
 
+def _reduced(row):
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def _pivot(T, z, basis, pr, pc):
+    """Pivot on (pr, pc).  Each row is stored as a positive integer multiple
+    of its true row, so the pivot row is only sign-flipped when its pivot is
+    negative; every other row with a nonzero in column pc becomes
+    ``row*p - f*prow`` divided by its gcd, again a positive multiple."""
     prow = T[pr]
-    piv = prow[pc]
-    if piv != 1:
-        inv = _Q1 / piv
-        for k, v in enumerate(prow):
-            if v:
-                prow[k] = v * inv
-    nz = [k for k, v in enumerate(prow) if v]
-    for row in T:
-        if row is prow:
-            continue
+    p = prow[pc]
+    if p < 0:
+        prow = T[pr] = [-v for v in prow]
+        p = -p
+    for i, row in enumerate(T):
         f = row[pc]
-        if f:
-            for k in nz:
-                row[k] -= f * prow[k]
+        if f and i != pr:
+            T[i] = _reduced([a * p - f * b for a, b in zip(row, prow)])
     f = z[pc]
     if f:
-        for k in nz:
-            z[k] -= f * prow[k]
+        z[:] = _reduced([a * p - f * b for a, b in zip(z, prow)])
     basis[pr] = pc
 
 
@@ -114,8 +119,9 @@ def _primal(T, z, basis, ncols):
     """Run primal simplex until optimal or unbounded.
 
     Entering candidates are the first ``ncols`` columns; Bland's rule picks the
-    least improving index, ties in the ratio test break on the least basis
-    variable index.
+    least index with a positive reduced cost, ties in the ratio test break on
+    the least basis variable index.  A row's ratio rhs/a does not depend on the
+    row's scale, so candidates are compared by cross-multiplication.
     """
     rhs = len(z) - 1
     while True:
@@ -127,16 +133,15 @@ def _primal(T, z, basis, ncols):
         if pc < 0:
             return "optimal"
         pr = -1
-        best_ratio = None
-        best_var = -1
         for i, row in enumerate(T):
             a = row[pc]
             if a > 0:
-                ratio = row[rhs] / a
-                if pr < 0 or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < best_var
-                ):
-                    pr, best_ratio, best_var = i, ratio, basis[i]
+                b = row[rhs]
+                if pr >= 0:
+                    cmp = b * best_a - best_b * a
+                    if cmp > 0 or (cmp == 0 and basis[i] > best_var):
+                        continue
+                pr, best_b, best_a, best_var = i, b, a, basis[i]
         if pr < 0:
             return "unbounded"
         _pivot(T, z, basis, pr, pc)
@@ -148,44 +153,52 @@ def _simplex(num_vars, rows, objective, nonneg):
     When ``nonneg`` is False the variables are free and get split into
     positive/negative parts; when True every variable is constrained >= 0 and
     used directly.
+
+    The tableau holds ints only.  Each row is a positive multiple of its true
+    row, so a basic variable's value is the row's rhs over the row's entry in
+    that variable's column, and the z-row is a positive multiple of the true
+    reduced costs, read by sign.  The artificial columns are never priced or
+    read, so they are not stored; an artificial stays in ``basis`` as its
+    index ``ncols + r``.
     """
-    m = len(rows)
     base = num_vars if nonneg else 2 * num_vars
     ineq_rows = [r for r, (_, rel, _) in enumerate(rows) if rel != EQ]
     slack_of = {r: base + k for k, r in enumerate(ineq_rows)}
     ncols = base + len(ineq_rows)
-    art0 = ncols
-    rhs_ix = ncols + m
+    art0 = rhs_ix = ncols
 
     T = []
+    scales = []
     for r, (coeffs, rel, rhs) in enumerate(rows):
-        row = [_Q0] * (rhs_ix + 1)
-        for j, c in enumerate(coeffs):
+        ints, scale = clear_denominators(coeffs + (rhs,))
+        row = [0] * (rhs_ix + 1)
+        for j, c in enumerate(ints[:-1]):
             if c:
                 row[j] = c
                 if not nonneg:
                     row[num_vars + j] = -c
         if rel != EQ:
-            row[slack_of[r]] = _Q1 if rel == LE else -_Q1
-        b = rhs
-        if b < 0:
+            row[slack_of[r]] = scale if rel == LE else -scale
+        row[rhs_ix] = ints[-1]
+        if ints[-1] < 0:
             row = [-v for v in row]
-            b = -b
-        row[art0 + r] = _Q1
-        row[rhs_ix] = b
         T.append(row)
-    basis = [art0 + r for r in range(m)]
+        scales.append(scale)
+    basis = [art0 + r for r in range(len(rows))]
 
     # Phase 1: maximize -(sum of artificials); with the artificial basis the
-    # reduced cost of structural column j is the column sum.  The z-row keeps
-    # the NEGATED objective value in the rhs cell so pivoting updates it like
-    # any other row.
-    z = [_Q0] * (rhs_ix + 1)
-    for row in T:
-        for j in range(ncols):
-            if row[j]:
-                z[j] += row[j]
-        z[rhs_ix] += row[rhs_ix]
+    # reduced cost of structural column j is the column sum of the true rows.
+    # The z-row keeps the NEGATED objective value in the rhs cell so pivoting
+    # updates it like any other row.
+    common = lcm(*scales)
+    z = [0] * (rhs_ix + 1)
+    for row, scale in zip(T, scales):
+        k = common // scale
+        for j, v in enumerate(row):
+            if v:
+                z[j] += k * v
+    T = [_reduced(row) for row in T]
+    z = _reduced(z)
     status = _primal(T, z, basis, ncols)
     if status == "unbounded":
         raise InternalConsistencyError("phase-1 objective cannot be unbounded")
@@ -195,7 +208,7 @@ def _simplex(num_vars, rows, objective, nonneg):
     # Drive leftover artificials out of the basis; a row with no structural
     # pivot left is redundant and gets dropped.
     drop = []
-    for i in range(m):
+    for i in range(len(T)):
         if basis[i] >= art0:
             pc = next((j for j in range(ncols) if T[i][j]), None)
             if pc is None:
@@ -206,16 +219,11 @@ def _simplex(num_vars, rows, objective, nonneg):
         del T[i]
         del basis[i]
 
-    # Strip artificial columns; rhs moves to index ncols.
-    for row in T:
-        del row[art0:rhs_ix]
-    rhs_ix = ncols
-
     def extract():
         vals = [_Q0] * base
         for i, b in enumerate(basis):
             if b < base:
-                vals[b] = T[i][rhs_ix]
+                vals[b] = Fraction(T[i][rhs_ix], T[i][b])
         if nonneg:
             return tuple(vals)
         return tuple(vals[j] - vals[num_vars + j] for j in range(num_vars))
@@ -223,23 +231,21 @@ def _simplex(num_vars, rows, objective, nonneg):
     if objective is None:
         return "feasible", extract()
 
-    z = [_Q0] * (rhs_ix + 1)
-    cost = [_Q0] * ncols
-    for j, c in enumerate(objective):
+    # Phase 2: reduced costs cost - sum over rows of cost[basis] * true row.
+    ints, _ = clear_denominators(objective)
+    cost = [0] * (rhs_ix + 1)
+    for j, c in enumerate(ints):
         if c:
             cost[j] = c
             if not nonneg:
                 cost[num_vars + j] = -c
-    for j in range(ncols):
-        z[j] = cost[j]
+    common = lcm(*(T[i][b] for i, b in enumerate(basis) if cost[b]))
+    z = [c * common for c in cost]
     for i, b in enumerate(basis):
-        cb = cost[b] if b < ncols else _Q0
-        if cb:
-            row = T[i]
-            for j in range(ncols):
-                if row[j]:
-                    z[j] -= cb * row[j]
-            z[rhs_ix] -= cb * row[rhs_ix]
+        if cost[b]:
+            k = cost[b] * (common // T[i][b])
+            z = [a - k * v for a, v in zip(z, T[i])]
+    z = _reduced(z)
     status = _primal(T, z, basis, ncols)
     if status == "unbounded":
         return "unbounded", None

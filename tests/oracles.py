@@ -1,17 +1,22 @@
 """Brute-force oracles: no size caps, no hereditary pruning, no early exits.
 
 Everything enumerates all 2^|H| subsets directly so the pruned searches in the
-package have an independent path to agree with.
+package have an independent path to agree with.  ``fraction_simplex`` is the
+LP kernel on a Fraction tableau, frozen as the reference for the integer one.
 """
 from fractions import Fraction
 from itertools import combinations
 
+from hcara.errors import InternalConsistencyError
 from hcara.invariants import (
     is_conical_position,
     is_simplex_with_origin,
     positive_hull_contains,
 )
-from hcara.lp import EQ, feasible_point
+from hcara.lp import EQ, LE, feasible_point
+
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 
 def all_subsets(n):
@@ -88,3 +93,164 @@ def brute_spans_positively(normals, dim):
             if not positive_hull_contains(normals, axis):
                 return False
     return True
+
+
+def _fraction_pivot(T, z, basis, pr, pc):
+    prow = T[pr]
+    piv = prow[pc]
+    if piv != 1:
+        inv = _Q1 / piv
+        for k, v in enumerate(prow):
+            if v:
+                prow[k] = v * inv
+    nz = [k for k, v in enumerate(prow) if v]
+    for row in T:
+        if row is prow:
+            continue
+        f = row[pc]
+        if f:
+            for k in nz:
+                row[k] -= f * prow[k]
+    f = z[pc]
+    if f:
+        for k in nz:
+            z[k] -= f * prow[k]
+    basis[pr] = pc
+
+
+def _fraction_primal(T, z, basis, ncols):
+    """Run primal simplex until optimal or unbounded.
+
+    Entering candidates are the first ``ncols`` columns; Bland's rule picks the
+    least improving index, ties in the ratio test break on the least basis
+    variable index.
+    """
+    rhs = len(z) - 1
+    while True:
+        pc = -1
+        for j in range(ncols):
+            if z[j] > 0:
+                pc = j
+                break
+        if pc < 0:
+            return "optimal"
+        pr = -1
+        best_ratio = None
+        best_var = -1
+        for i, row in enumerate(T):
+            a = row[pc]
+            if a > 0:
+                ratio = row[rhs] / a
+                if pr < 0 or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < best_var
+                ):
+                    pr, best_ratio, best_var = i, ratio, basis[i]
+        if pr < 0:
+            return "unbounded"
+        _fraction_pivot(T, z, basis, pr, pc)
+
+
+def fraction_simplex(num_vars, rows, objective, nonneg):
+    """The Fraction-tableau simplex the integer kernel in hcara.lp replaced,
+    kept as a pivot-for-pivot reference.  Rows and objective must already be
+    Fractions.  Returns (status string, witness tuple or None).
+
+    When ``nonneg`` is False the variables are free and get split into
+    positive/negative parts; when True every variable is constrained >= 0 and
+    used directly.
+    """
+    m = len(rows)
+    base = num_vars if nonneg else 2 * num_vars
+    ineq_rows = [r for r, (_, rel, _) in enumerate(rows) if rel != EQ]
+    slack_of = {r: base + k for k, r in enumerate(ineq_rows)}
+    ncols = base + len(ineq_rows)
+    art0 = ncols
+    rhs_ix = ncols + m
+
+    T = []
+    for r, (coeffs, rel, rhs) in enumerate(rows):
+        row = [_Q0] * (rhs_ix + 1)
+        for j, c in enumerate(coeffs):
+            if c:
+                row[j] = c
+                if not nonneg:
+                    row[num_vars + j] = -c
+        if rel != EQ:
+            row[slack_of[r]] = _Q1 if rel == LE else -_Q1
+        b = rhs
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        row[art0 + r] = _Q1
+        row[rhs_ix] = b
+        T.append(row)
+    basis = [art0 + r for r in range(m)]
+
+    # Phase 1: maximize -(sum of artificials); with the artificial basis the
+    # reduced cost of structural column j is the column sum.  The z-row keeps
+    # the NEGATED objective value in the rhs cell so pivoting updates it like
+    # any other row.
+    z = [_Q0] * (rhs_ix + 1)
+    for row in T:
+        for j in range(ncols):
+            if row[j]:
+                z[j] += row[j]
+        z[rhs_ix] += row[rhs_ix]
+    status = _fraction_primal(T, z, basis, ncols)
+    if status == "unbounded":
+        raise InternalConsistencyError("phase-1 objective cannot be unbounded")
+    if z[rhs_ix] != 0:
+        return "infeasible", None
+
+    # Drive leftover artificials out of the basis; a row with no structural
+    # pivot left is redundant and gets dropped.
+    drop = []
+    for i in range(m):
+        if basis[i] >= art0:
+            pc = next((j for j in range(ncols) if T[i][j]), None)
+            if pc is None:
+                drop.append(i)
+            else:
+                _fraction_pivot(T, z, basis, i, pc)
+    for i in reversed(drop):
+        del T[i]
+        del basis[i]
+
+    # Strip artificial columns; rhs moves to index ncols.
+    for row in T:
+        del row[art0:rhs_ix]
+    rhs_ix = ncols
+
+    def extract():
+        vals = [_Q0] * base
+        for i, b in enumerate(basis):
+            if b < base:
+                vals[b] = T[i][rhs_ix]
+        if nonneg:
+            return tuple(vals)
+        return tuple(vals[j] - vals[num_vars + j] for j in range(num_vars))
+
+    if objective is None:
+        return "feasible", extract()
+
+    z = [_Q0] * (rhs_ix + 1)
+    cost = [_Q0] * ncols
+    for j, c in enumerate(objective):
+        if c:
+            cost[j] = c
+            if not nonneg:
+                cost[num_vars + j] = -c
+    for j in range(ncols):
+        z[j] = cost[j]
+    for i, b in enumerate(basis):
+        cb = cost[b] if b < ncols else _Q0
+        if cb:
+            row = T[i]
+            for j in range(ncols):
+                if row[j]:
+                    z[j] -= cb * row[j]
+            z[rhs_ix] -= cb * row[rhs_ix]
+    status = _fraction_primal(T, z, basis, ncols)
+    if status == "unbounded":
+        return "unbounded", None
+    return "optimal", extract()

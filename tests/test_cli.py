@@ -146,6 +146,15 @@ class TestExitCodes:
         assert main(["experiment", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "coordinate", ['"' + "1" * 5000 + '"', "1" * 5000], ids=["string", "bare-int"]
+    )
+    def test_over_long_integer_is_input_error(self, coordinate, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 1, "normals": [[' + coordinate + "]]}")
+        assert main(["cara", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, files):
         with pytest.raises(SystemExit) as exc_info:
             main(["cara", files["cube3.json"], "--nope"])

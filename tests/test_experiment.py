@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hcara.errors import InputError
+from hcara.errors import InputError, PreconditionError
 from hcara.experiment import (
     ExperimentConfig,
     check_guard_existence,
@@ -108,6 +108,21 @@ class TestChecks:
         record = check_lower_bound_scaling(K, 8)
         assert record["certified"]
         assert record["target_size"] == expected == record["caratheodory"]
+
+    def test_scaling_schedule_records_does_not_fit(self):
+        record = check_lower_bound_scaling(simplex_polytope(2), 3)
+        outcomes = [s["outcome"] for s in record["schedule"]]
+        assert outcomes == ["does-not-fit", "does-not-fit", "witness-size", "witness-size"]
+
+    def test_scaling_surfaces_a_hull_fault_when_the_set_fits(self, monkeypatch):
+        # A fitting set whose witness search still fails is a fault, not a
+        # "does-not-fit" outcome.
+        def not_in_hull(K, X, p):
+            raise PreconditionError("query point is not in the hull of X")
+
+        monkeypatch.setattr("hcara.experiment.minimal_strong_witness", not_in_hull)
+        with pytest.raises(PreconditionError, match="not in the hull"):
+            check_lower_bound_scaling(cube_polytope(3), 3)
 
 
 class TestSuite:

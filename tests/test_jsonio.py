@@ -41,6 +41,12 @@ class TestRationalParsing:
         with pytest.raises(InputError):
             rational_from_json(bad)
 
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000])
+    def test_over_long_integer_is_input_error(self, text):
+        # int() refuses strings of more than 4300 digits with a ValueError
+        with pytest.raises(InputError, match="cannot parse rational"):
+            rational_from_json(text)
+
     def test_float_rejected_with_hint(self):
         with pytest.raises(InputError, match="fraction"):
             rational_from_json(0.5)

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import fraction_simplex
 
 from hcara.errors import InputError
 from hcara.linear import dot
@@ -18,6 +19,7 @@ from hcara.lp import (
 )
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+int_or_fraction = st.one_of(st.integers(-5, 5), small_fractions)
 
 
 def row_satisfied(coeffs, rel, rhs, x):
@@ -191,6 +193,52 @@ class TestProperties:
         assert out.value == out.witness[j] <= 100
 
 
+@st.composite
+def linear_programs(draw):
+    """(num_vars, rows, objective or None, nonneg) with int and Fraction
+    entries, any relation and right-hand sides of either sign."""
+    num_vars = draw(st.integers(1, 4))
+    vector = st.tuples(*[int_or_fraction] * num_vars)
+    row = st.tuples(vector, st.sampled_from((LE, EQ, GE)), int_or_fraction)
+    rows = draw(st.lists(row, max_size=6))
+    return num_vars, rows, draw(st.none() | vector), draw(st.booleans())
+
+
+def fraction_kernel(num_vars, rows, objective, nonneg):
+    """(status, witness, value) from the reference Fraction-tableau kernel."""
+    rows = [(tuple(map(F, coeffs)), rel, F(rhs)) for coeffs, rel, rhs in rows]
+    objective = None if objective is None else tuple(map(F, objective))
+    status, witness = fraction_simplex(num_vars, rows, objective, nonneg)
+    value = dot(objective, witness) if status == "optimal" else None
+    return status, witness, value
+
+
+def assert_matches_fraction_kernel(num_vars, rows, objective, nonneg):
+    status, witness, value = fraction_kernel(num_vars, rows, objective, nonneg)
+    if objective is None:
+        assert feasible_point(rows, num_vars, nonneg) == witness
+        return
+    out = maximize(rows, objective, num_vars, nonneg)
+    assert (out.status.value.lower(), out.witness, out.value) == (status, witness, value)
+
+
+class TestAgainstFractionKernel:
+    """The integer tableau takes the Fraction tableau's pivots, so status,
+    witness and value agree exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(linear_programs())
+    # Ratio-test ties between two rows, broken by the least basis index.
+    @example((2, [((-4, 5), GE, -4), ((-4, -3), EQ, -4), ((5, 3), GE, -4)], None, True))
+    # A tie where a strict "<" on the cross-products picks the later row.
+    @example((3, [((5, 2, -4), GE, -2), ((-2, -3, 1), LE, -5), ((0, -4, -2), GE, -1)],
+              None, True))
+    # Rows with different denominators: phase-1 costs sum the true rows.
+    @example((2, [((5, F(1, 2)), GE, -2), ((4, 1), GE, 5)], None, True))
+    def test_same_status_witness_and_value(self, lp):
+        assert_matches_fraction_kernel(*lp)
+
+
 class TestKernel:
     def test_int_rows_give_fraction_witnesses(self):
         point = feasible_point([((2,), GE, 1)], 1)
@@ -211,3 +259,49 @@ class TestKernel:
         assert out.status is LpStatus.OPTIMAL
         assert out.value == F(1, 20)
         assert out.witness == (F(1, 25), F(0), F(1), F(0))
+
+    def test_zero_rows(self):
+        assert feasible_point([], 2) == (0, 0)
+        assert feasible_point([], 2, nonneg=True) == (0, 0)
+        assert maximize([], (1, 0), 2).status is LpStatus.UNBOUNDED
+        assert maximize([], (-1, 0), 2, nonneg=True).value == 0
+
+    def test_redundant_equalities_drop_a_row(self):
+        # After phase 1 the second row has no structural entry left, so the
+        # drive-out drops it and phase 2 runs on one row.
+        rows = [((1, 1), EQ, 2), ((2, 2), EQ, 4), ((3, 3), EQ, 6)]
+        assert feasible_point(rows, 2, nonneg=True) == (2, 0)
+        out = maximize(rows, (1, 2), 2, nonneg=True)
+        assert (out.status, out.witness, out.value) == (LpStatus.OPTIMAL, (0, 2), 4)
+        assert_matches_fraction_kernel(2, rows, (1, 2), True)
+
+    def test_drive_out_pivots_on_a_negative_entry(self):
+        # Phase 1 enters x2 on row 1 and stops with the artificial of row 0
+        # basic at level 0; row 0 reads -x0 - 2x1 = 0, so the pivot that
+        # drives it out is -1.  Phase 2 then enters x1 through row 0.
+        rows = [((-1, -2, 0), EQ, 0), ((1, 1, 1), LE, 3)]
+        objective = (0, 1, 1)
+        out = maximize(rows, objective, 3, nonneg=True)
+        assert (out.status, out.witness, out.value) == (
+            LpStatus.OPTIMAL, (0, 0, 3), 3
+        )
+        assert feasible_point(rows, 3, nonneg=True) == (0, 0, 3)
+        assert_matches_fraction_kernel(3, rows, objective, True)
+
+    def test_hilbert_system_with_60_digit_data(self):
+        # Hilbert coefficients 1/(i+j+1) scaled by 60-digit fractions, so the
+        # integer rows carry 60-digit factors through every pivot.
+        big = 10**59
+        scale = [F(big + 7 * i + 1, big + 13 * i + 3) for i in range(4)]
+        hilbert = [
+            tuple(scale[i] / (i + j + 1) for j in range(4)) for i in range(4)
+        ]
+        rhs = [F(big - 11 * i - 1, big + 17 * i + 19) for i in range(4)]
+        square = [(row, EQ, b) for row, b in zip(hilbert, rhs)]
+        x = feasible_point(square, 4)
+        assert [dot(row, x) for row in hilbert] == rhs
+        assert_matches_fraction_kernel(4, square, None, False)
+        boxed = [(row, LE, b) for row, b in zip(hilbert, rhs)]
+        for objective in [(1, 1, 1, 1), (1, -2, 3, -4)]:
+            assert_matches_fraction_kernel(4, boxed, objective, True)
+        assert maximize(boxed, (1, 1, 1, 1), 4, nonneg=True).status is LpStatus.OPTIMAL
