@@ -235,7 +235,9 @@ def check_lower_bound_scaling(K: Polytope, depth: int, invariants=None) -> dict:
         scaled = PointSet(K.dim, tuple(vscale(x, eps) for x in X.points))
         # The origin is in the H-hull of the witness, so it is in the strong
         # hull whenever the scaled set fits: a PreconditionError means "does
-        # not fit" unless a fit exists, and then it is a real fault.
+        # not fit".  The search decides that from the conic-dependence table,
+        # so the facet LP of fits_in_translate confirms every such verdict; a
+        # fit found there is a real fault.
         try:
             size = len(minimal_strong_witness(K, scaled, origin))
         except PreconditionError:

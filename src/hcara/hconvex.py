@@ -18,7 +18,7 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import Vector, dot, is_zero_vector, primitive_direction
+from .linear import Vector, dot, exact, is_zero_vector, primitive_direction
 
 __all__ = [
     "NormalSet",
@@ -50,7 +50,7 @@ class NormalSet:
         seen = {}
         kept = []
         for v in self.normals:
-            v = tuple(Fraction(c) for c in v)
+            v = tuple(exact(c) for c in v)
             if len(v) != self.dim:
                 raise InputError(
                     f"normal {v} has dimension {len(v)}, expected {self.dim}"
@@ -97,7 +97,7 @@ class PointSet:
         pts = []
         seen = set()
         for p in self.points:
-            p = tuple(Fraction(c) for c in p)
+            p = tuple(exact(c) for c in p)
             if len(p) != self.dim:
                 raise InputError(
                     f"point {p} has dimension {len(p)}, expected {self.dim}"
@@ -189,7 +189,7 @@ def h_hull_contains(H: NormalSet, X: PointSet, p: Vector) -> bool:
     _check_joint(H, X)
     if not X.points:
         raise InputError("hull of an empty point set is undefined")
-    p = tuple(Fraction(c) for c in p)
+    p = tuple(exact(c) for c in p)
     if len(p) != H.dim:
         raise InputError("query point has the wrong dimension")
     for a in H.normals:

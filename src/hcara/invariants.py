@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalConsistencyError
 from .hconvex import NormalSet
-from .linear import Vector, is_zero_vector, rank, vanishing_combination, vsub
+from .linear import Vector, exact, is_zero_vector, rank, vanishing_combination, vsub
 from .lp import EQ, GE, feasible_point
 
 __all__ = [
@@ -68,7 +68,7 @@ class InvariantReport:
 
 
 def _same_dim(vectors):
-    vectors = [tuple(Fraction(c) for c in v) for v in vectors]
+    vectors = [tuple(exact(c) for c in v) for v in vectors]
     if vectors:
         dim = len(vectors[0])
         for v in vectors:
@@ -80,7 +80,7 @@ def _same_dim(vectors):
 def positive_hull_contains(S, a: Vector) -> bool:
     """True iff a is a nonnegative combination of S.  pos({}) = {0}."""
     S = _same_dim(S)
-    a = tuple(Fraction(c) for c in a)
+    a = tuple(exact(c) for c in a)
     if not S:
         return is_zero_vector(a)
     dim = len(S[0])

@@ -6,11 +6,20 @@ exact, deterministic and free of floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 
 Vector = tuple[Fraction, ...]
+
+
+def exact(value) -> Fraction:
+    """``value`` as a Fraction; InputError for a float, whose binary value is
+    almost never the number that was meant."""
+    if isinstance(value, float):
+        raise InputError(f"float {value!r} is not exact; pass an int or a Fraction")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def zero_vector(dim: int) -> Vector:
@@ -52,6 +61,12 @@ def clear_denominators(v) -> tuple[list[int], int]:
     """``v`` times the lcm of its denominators, as ints, and that lcm."""
     scale = lcm(*(x.denominator for x in v))
     return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
+def reduced_row(row: list[int]) -> list[int]:
+    """An int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def primitive_direction(v: Vector) -> tuple[int, ...]:
@@ -168,3 +183,100 @@ def vanishing_combination(vectors) -> Vector | None:
     first, rest = vectors[0], vectors[1:]
     tail = solve_linear(list(zip(*rest)), [-c for c in first]) if rest else ()
     return None if tail is None else (Fraction(1),) + tail
+
+
+def _pivoted(M, r, k, c):
+    """Copy of the int matrix M after a fraction-free Gauss-Jordan pivot on
+    (r, c), with row r moved to position k and its pivot made positive."""
+    M = [row[:] for row in M]
+    M[k], M[r] = M[r], M[k]
+    prow = M[k]
+    p = prow[c]
+    if p < 0:
+        prow = M[k] = [-v for v in prow]
+        p = -p
+    for i, row in enumerate(M):
+        f = row[c]
+        if f and i != k:
+            M[i] = reduced_row([x * p - f * y for x, y in zip(row, prow)])
+    return M
+
+
+def conic_dependences(vectors):
+    """The conic-dependence table ``(circuits, reps)`` of nonzero vectors
+    a_0, ..., a_{m-1} in R^d, as tuples, so a cached table can be shared.
+
+    ``circuits`` lists ``(S, mu)`` for every index set S whose vanishing
+    combinations form the line spanned by a strictly positive ``mu``
+    (primitive ints): the minimal positively dependent subsets, which
+    generate the cone {mu >= 0 : sum mu_j a_j = 0}.  ``reps[i]`` lists
+    ``(B, lam)`` for every linearly independent B and ``lam > 0`` with
+    a_i = sum lam_j a_j, the trivial ``((i,), (1,))`` first: the vertices of
+    {lam >= 0 : sum lam_j a_j = a_i}.  Index sets are increasing tuples and
+    both lists are in (size, lexicographic) order.
+
+    One pass over the linearly independent B with |B| <= d, depth first, so
+    each B extends its prefix's fraction-free Gauss-Jordan elimination of the
+    d x m matrix whose columns are all the a_j.  Every a_i in the span of B is
+    then a right-hand side solved for free: lam > 0 is a representation of i,
+    lam < 0 everywhere is the circuit B + {i}.  Every entry is checked by
+    substitution.
+    """
+    vectors = [tuple(exact(c) for c in v) for v in vectors]
+    if not vectors:
+        return (), ()
+    dim = len(vectors[0])
+    for v in vectors:
+        if len(v) != dim:
+            raise InputError("conic_dependences: all vectors must share one dimension")
+        if is_zero_vector(v):
+            raise InputError("conic_dependences: the zero vector has no direction")
+    m = len(vectors)
+    cleared = [clear_denominators(v) for v in vectors]
+    scale = [s for _, s in cleared]
+    circuits = {}
+    reps = [[((i,), (Fraction(1),))] for i in range(m)]
+
+    def visit(M, B):
+        k = len(B)
+        for i in range(m):
+            if i in B or any(M[r][i] for r in range(k, dim)):
+                continue
+            # Column i is a_i in the basis B: lam'_r = M[r][i] / M[r][B[r]]
+            # for the cleared vectors, whose pivots M[r][B[r]] are positive.
+            lam = [
+                Fraction(M[r][i] * scale[j], M[r][j] * scale[i])
+                for r, j in enumerate(B)
+            ]
+            if all(x > 0 for x in lam):
+                reps[i].append((B, tuple(lam)))
+            elif all(x < 0 for x in lam):
+                mu = dict(zip(B, (-x for x in lam)))
+                mu[i] = Fraction(1)
+                S = tuple(sorted(mu))
+                if S not in circuits:
+                    ints, _ = clear_denominators([mu[j] for j in S])
+                    circuits[S] = tuple(reduced_row(ints))
+        if k == dim:
+            return
+        for c in range(B[-1] + 1 if B else 0, m):
+            r = next((r for r in range(k, dim) if M[r][c]), None)
+            if r is not None:
+                visit(_pivoted(M, r, k, c), B + (c,))
+
+    visit([list(row) for row in zip(*(ints for ints, _ in cleared))], ())
+
+    def combination(indices, coeffs):
+        terms = (vscale(vectors[j], x) for j, x in zip(indices, coeffs))
+        return reduce(vadd, terms, zero_vector(dim))
+
+    for S, mu in circuits.items():
+        if combination(S, mu) != zero_vector(dim):
+            raise InternalConsistencyError(f"circuit {S} does not vanish")
+    for i, entries in enumerate(reps):
+        entries.sort(key=lambda e: (len(e[0]), e[0]))
+        for B, lam in entries:
+            if combination(B, lam) != vectors[i]:
+                raise InternalConsistencyError(f"representation {B} of {i} is wrong")
+    ordered = sorted(circuits.items(), key=lambda e: (len(e[0]), e[0]))
+    return tuple(ordered), tuple(tuple(entries) for entries in reps)

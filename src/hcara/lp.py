@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InputError, InternalConsistencyError
-from .linear import Vector, clear_denominators, dot
+from .linear import Vector, clear_denominators, dot, exact, reduced_row
 
 _Q0 = Fraction(0)
 
@@ -35,12 +35,6 @@ class LpStatus(Enum):
     FEASIBLE = "FEASIBLE"
     OPTIMAL = "OPTIMAL"
     UNBOUNDED = "UNBOUNDED"
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise InputError(f"float {value!r} is not exact; pass an int or a Fraction")
-    return value if type(value) is Fraction else Fraction(value)
 
 
 def _checked(rows, objective, num_vars):
@@ -58,11 +52,11 @@ def _checked(rows, objective, num_vars):
             raise InputError(f"row has {len(coeffs)} coefficients, expected {num_vars}")
         if rel not in RELATIONS:
             raise InputError(f"unknown relation {rel!r}")
-        checked.append((tuple(_exact(c) for c in coeffs), rel, _exact(rhs)))
+        checked.append((tuple(exact(c) for c in coeffs), rel, exact(rhs)))
     if objective is not None:
         if len(objective) != num_vars:
             raise InputError("objective length must equal num_vars")
-        objective = tuple(_exact(c) for c in objective)
+        objective = tuple(exact(c) for c in objective)
     return tuple(checked), objective
 
 
@@ -90,11 +84,6 @@ class LpOutcome:
     value: Fraction | None = None
 
 
-def _reduced(row):
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
 def _pivot(T, z, basis, pr, pc):
     """Pivot on (pr, pc).  Each row is stored as a positive integer multiple
     of its true row, so the pivot row is only sign-flipped when its pivot is
@@ -108,10 +97,10 @@ def _pivot(T, z, basis, pr, pc):
     for i, row in enumerate(T):
         f = row[pc]
         if f and i != pr:
-            T[i] = _reduced([a * p - f * b for a, b in zip(row, prow)])
+            T[i] = reduced_row([a * p - f * b for a, b in zip(row, prow)])
     f = z[pc]
     if f:
-        z[:] = _reduced([a * p - f * b for a, b in zip(z, prow)])
+        z[:] = reduced_row([a * p - f * b for a, b in zip(z, prow)])
     basis[pr] = pc
 
 
@@ -197,8 +186,8 @@ def _simplex(num_vars, rows, objective, nonneg):
         for j, v in enumerate(row):
             if v:
                 z[j] += k * v
-    T = [_reduced(row) for row in T]
-    z = _reduced(z)
+    T = [reduced_row(row) for row in T]
+    z = reduced_row(z)
     status = _primal(T, z, basis, ncols)
     if status == "unbounded":
         raise InternalConsistencyError("phase-1 objective cannot be unbounded")
@@ -245,7 +234,7 @@ def _simplex(num_vars, rows, objective, nonneg):
         if cost[b]:
             k = cost[b] * (common // T[i][b])
             z = [a - k * v for a, v in zip(z, T[i])]
-    z = _reduced(z)
+    z = reduced_row(z)
     status = _primal(T, z, basis, ncols)
     if status == "unbounded":
         return "unbounded", None

@@ -7,6 +7,7 @@ by an extra opposite facet, and cross-polytopes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .hconvex import NormalSet
 from .strong import Polytope
@@ -29,7 +30,9 @@ def cube_normals(n: int) -> NormalSet:
     return NormalSet(n, tuple(normals))
 
 
+@cache
 def cube_polytope(n: int) -> Polytope:
+    """[0, 1]^n, built once per n: a Polytope is frozen, so sharing it is safe."""
     normals, offsets = [], []
     for j in range(n):
         normals.append(_e(n, j, 1))

@@ -2,16 +2,31 @@
 
 The body K is a bounded, full-dimensional polytope given by irredundant facet
 rows <a_i, x> <= b_i.  The hull of X under K is the intersection of all
-translates of K containing X; membership of p reduces to one exact LP per
-facet: maximize the violation <a_i, p - t> - b_i over all translate vectors t
-with X inside K + t.  K bounded makes that region bounded, so the optima
-exist.
+translates of K containing X.  With s_i the support of X in direction a_i and
+c = b - s, X fits in some translate exactly when {y : <a_i, y> <= c_i} is
+nonempty, and p lies in the hull exactly when, for every facet,
+<a_i, p> - b_i plus the maximum of <a_i, y> over that region is <= 0.
+
+Two paths decide this, and each checks the other:
+
+* the facet LPs, the reference: ``fits_in_translate``,
+  ``strong_hull_contains`` and ``h_subset_strong_check`` solve the region's
+  feasibility and the m facet maxima as exact LPs;
+* the conic-dependence table of the normals (``linear.conic_dependences``,
+  cached per polytope), which ``minimal_strong_witness`` uses for its
+  precondition and its whole subset search, solving no LP.  By Farkas, X
+  fits exactly when <mu_S, c_S> >= 0 for every circuit S; by LP duality the
+  facet maximum is the least <lam_B, c_B> over the representations B of a_i.
+  So the hull is the normal-restricted hull of X with the supports raised to
+  b_i - min <lam_B, c_B> (``_tight_supports``).
+
+K bounded makes the region bounded, so the optima exist.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .hconvex import NormalSet, PointSet, h_hull_contains, support
@@ -24,7 +39,17 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import Vector, dot, is_zero_vector, rank, vadd, vneg, zero_vector
+from .linear import (
+    Vector,
+    conic_dependences,
+    dot,
+    exact,
+    is_zero_vector,
+    rank,
+    vadd,
+    vneg,
+    zero_vector,
+)
 from .lp import GE, LE, LpStatus, feasible_point, maximize
 
 __all__ = [
@@ -105,10 +130,8 @@ class Polytope:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("dimension must be >= 1")
-        normals = tuple(
-            tuple(Fraction(c) for c in a) for a in self.normals
-        )
-        offsets = tuple(Fraction(b) for b in self.offsets)
+        normals = tuple(tuple(exact(c) for c in a) for a in self.normals)
+        offsets = tuple(exact(b) for b in self.offsets)
         if len(normals) != len(offsets):
             raise InputError("one offset per normal required")
         if len(normals) < self.dim + 1:
@@ -130,6 +153,12 @@ class Polytope:
 
     def __len__(self):
         return len(self.normals)
+
+    @cached_property
+    def conic_dependences(self):
+        """``linear.conic_dependences`` of the facet normals, built on first
+        use; not a field, so equality and hashing ignore it."""
+        return conic_dependences(self.normals)
 
     def normal_set(self) -> NormalSet:
         return NormalSet(self.dim, self.normals)
@@ -196,28 +225,60 @@ def _member_with_supports(K: Polytope, supports, p: Vector) -> bool:
     return True
 
 
+def _query(K: Polytope, X: PointSet, p: Vector) -> Vector:
+    """p as an exact vector, after the input checks of a strong-hull query."""
+    _check_joint(K, X)
+    p = tuple(exact(c) for c in p)
+    if len(p) != K.dim:
+        raise InputError("query point has the wrong dimension")
+    return p
+
+
 def strong_hull_contains(K: Polytope, X: PointSet, p: Vector) -> bool:
     """Membership of p in the intersection of all translates of K containing X.
 
     Raises PreconditionError unless X fits in some translate of K.
     """
-    _check_joint(K, X)
-    p = tuple(Fraction(c) for c in p)
-    if len(p) != K.dim:
-        raise InputError("query point has the wrong dimension")
+    p = _query(K, X, p)
     return _member_with_supports(K, [support(X, a) for a in K.normals], p)
+
+
+def _tight_supports(K: Polytope, supports):
+    """The supports raised to the strong hull's: b_i - min over the
+    representations (B, lam) of a_i of <lam, c_B>, with c = b - supports;
+    None when X fits in no translate, i.e. <mu, c_S> < 0 for some circuit S.
+    p is in the strong hull exactly when <a_i, p> <= tight_i for every i."""
+    circuits, reps = K.conic_dependences
+    c = [b - s for b, s in zip(K.offsets, supports)]
+    if any(sum(m * c[j] for j, m in zip(S, mu)) < 0 for S, mu in circuits):
+        return None
+    return [
+        b - min(sum(x * c[j] for j, x in zip(B, lam)) for B, lam in entries)
+        for b, entries in zip(K.offsets, reps)
+    ]
 
 
 def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
     """Minimum-cardinality subset of X whose hull under K still contains p,
-    by exhaustive search in (size, lexicographic index) order."""
-    if not strong_hull_contains(K, X, p):
-        raise PreconditionError("query point is not in the hull of X")
-    p = tuple(Fraction(c) for c in p)
+    by exhaustive search in (size, lexicographic index) order.
+
+    Decided from the conic-dependence table of K, with no LP.
+    """
+    p = _query(K, X, p)
     dots = [[dot(a, x) for x in X.points] for a in K.normals]
-    return X.minimal_subset(lambda idx: _member_with_supports(
-        K, [max(row[j] for j in idx) for row in dots], p
-    ))
+    levels = [dot(a, p) for a in K.normals]
+
+    def contains(idx):
+        """Membership of p in the hull of X[idx]; None when X[idx] fits nowhere."""
+        tight = _tight_supports(K, [max(row[j] for j in idx) for row in dots])
+        return None if tight is None else all(v <= t for v, t in zip(levels, tight))
+
+    whole = contains(range(len(X)))
+    if whole is None:
+        raise PreconditionError("X does not fit in any translate of K")
+    if not whole:
+        raise PreconditionError("query point is not in the hull of X")
+    return X.minimal_subset(contains)
 
 
 def guard_assignment(K: Polytope, X: PointSet, p: Vector):
@@ -228,7 +289,7 @@ def guard_assignment(K: Polytope, X: PointSet, p: Vector):
     has no such normal.
     """
     _check_joint(K, X)
-    p = tuple(Fraction(c) for c in p)
+    p = tuple(exact(c) for c in p)
     out = {}
     for j, x in enumerate(X.points):
         found = None

@@ -2,18 +2,23 @@
 
 Everything enumerates all 2^|H| subsets directly so the pruned searches in the
 package have an independent path to agree with.  ``fraction_simplex`` is the
-LP kernel on a Fraction tableau, frozen as the reference for the integer one.
+LP kernel on a Fraction tableau, frozen as the reference for the integer one;
+``lp_minimal_strong_witness`` is the minimal strong witness searched with the
+facet LPs, the reference for the conic-dependence table.
 """
 from fractions import Fraction
 from itertools import combinations
 
-from hcara.errors import InternalConsistencyError
+from hcara.errors import InternalConsistencyError, PreconditionError
+from hcara.hconvex import PointSet
 from hcara.invariants import (
     is_conical_position,
     is_simplex_with_origin,
     positive_hull_contains,
 )
+from hcara.linear import dot, rank, solve_linear
 from hcara.lp import EQ, LE, feasible_point
+from hcara.strong import Polytope, _member_with_supports, strong_hull_contains
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -93,6 +98,45 @@ def brute_spans_positively(normals, dim):
             if not positive_hull_contains(normals, axis):
                 return False
     return True
+
+
+def brute_conic_dependences(vectors):
+    """``linear.conic_dependences`` from the definitions: circuits are the
+    subsets ``brute_simplex_with_origin`` accepts, and a representation of
+    a_i is a linearly independent B with i not in B whose unique solution of
+    sum lam_j a_j = a_i is strictly positive."""
+    vectors = [tuple(Fraction(c) for c in v) for v in vectors]
+    dim = len(vectors[0])
+    circuits = [
+        S for S in all_subsets(len(vectors))
+        if len(S) >= 2 and brute_simplex_with_origin([vectors[j] for j in S])
+    ]
+    reps = []
+    for i, a in enumerate(vectors):
+        others = [j for j in range(len(vectors)) if j != i]
+        found = [((i,), (_Q1,))]
+        for k in range(1, dim + 1):
+            for B in combinations(others, k):
+                basis = [vectors[j] for j in B]
+                if rank(basis) < k:
+                    continue
+                lam = solve_linear([tuple(v[d] for v in basis) for d in range(dim)], a)
+                if lam is not None and all(x > 0 for x in lam):
+                    found.append((B, lam))
+        reps.append(found)
+    return circuits, reps
+
+
+def lp_minimal_strong_witness(K: Polytope, X: PointSet, p):
+    """Minimum-cardinality subset of X whose hull under K still contains p,
+    by exhaustive search in (size, lexicographic index) order."""
+    if not strong_hull_contains(K, X, p):
+        raise PreconditionError("query point is not in the hull of X")
+    p = tuple(Fraction(c) for c in p)
+    dots = [[dot(a, x) for x in X.points] for a in K.normals]
+    return X.minimal_subset(lambda idx: _member_with_supports(
+        K, [max(row[j] for j in idx) for row in dots], p
+    ))
 
 
 def _fraction_pivot(T, z, basis, pr, pc):

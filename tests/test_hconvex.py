@@ -59,6 +59,19 @@ class TestConstruction:
         with pytest.raises(InputError):
             NormalSet(3, ((F(1), F(0)),))
 
+    def test_float_normal_rejected(self):
+        with pytest.raises(InputError, match="float"):
+            NormalSet(2, ((0.1, F(0)),))
+
+    def test_float_point_rejected(self):
+        with pytest.raises(InputError, match="float"):
+            PointSet(2, ((0.1, F(0)),))
+
+    def test_float_query_rejected(self):
+        X = PointSet(2, ((F(0), F(0)),))
+        with pytest.raises(InputError, match="float"):
+            h_hull_contains(BOX, X, (0.5, 0))
+
 
 class TestSupport:
     def test_examples(self):

@@ -4,11 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_spans_positively
+from conftest import named_normal_sets, named_polytopes, random_normal_sets
+from oracles import (
+    brute_conic_dependences,
+    brute_spans_positively,
+    lp_minimal_strong_witness,
+)
 
+import hcara.strong
 from hcara.errors import InputError, PreconditionError
-from hcara.hconvex import PointSet, h_hull_contains
-from hcara.linear import vadd
+from hcara.experiment import ExperimentConfig, random_instance
+from hcara.hconvex import PointSet, h_hull_contains, support
+from hcara.invariants import caratheodory_number
+from hcara.linear import conic_dependences, dot, vadd, vneg, vscale
+from hcara.lp import maximize
 from hcara.shapes import (
     cube_polytope,
     pyramid_polytope,
@@ -16,6 +25,9 @@ from hcara.shapes import (
 )
 from hcara.strong import (
     Polytope,
+    _member_with_supports,
+    _tight_supports,
+    _translate_rows,
     fits_in_translate,
     guard_assignment,
     h_subset_strong_check,
@@ -23,6 +35,7 @@ from hcara.strong import (
     spans_positively,
     strong_hull_contains,
 )
+from hcara.witness import cone_witness_points, helly_witness_points
 
 CUBE2 = cube_polytope(2)
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -68,6 +81,18 @@ class TestPolytopeInvariants:
         assert len(K) == 6
         assert len(K.normal_set()) == 6
 
+    def test_cube_built_once(self):
+        assert cube_polytope(2) is cube_polytope(2)
+
+    def test_float_rejected(self):
+        with pytest.raises(InputError, match="float"):
+            Polytope(2, ((F(1), F(0)), (F(0), F(1)), (-1, -1)), (F(1), F(1), 0.5))
+
+    def test_table_is_not_a_field(self):
+        K = Polytope(2, CUBE2.normals, CUBE2.offsets)
+        assert K.conic_dependences == CUBE2.conic_dependences
+        assert K == CUBE2 and hash(K) == hash(CUBE2)
+
 
 @st.composite
 def normal_families(draw):
@@ -102,6 +127,180 @@ class TestSpansPositively:
     def test_agrees_with_axis_definition(self, family):
         dim, normals = family
         assert spans_positively(normals, dim) == brute_spans_positively(normals, dim)
+
+
+class TestConicDependences:
+    def test_cube(self):
+        circuits, reps = cube_polytope(3).conic_dependences
+        assert circuits == (((0, 1), (1, 1)), ((2, 3), (1, 1)), ((4, 5), (1, 1)))
+        assert reps == tuple((((i,), (1,)),) for i in range(6))
+
+    def test_triangle(self):
+        circuits, reps = triangle_polytope().conic_dependences
+        assert circuits == (((0, 1, 2), (1, 1, 1)),)
+        assert reps == tuple((((i,), (1,)),) for i in range(3))
+
+    def test_representations_and_circuits(self):
+        circuits, reps = conic_dependences([(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 2)])
+        assert circuits == (
+            ((2, 3), (1, 1)), ((0, 1, 2), (1, 1, 1)), ((0, 2, 4), (3, 2, 1)),
+        )
+        assert reps[1] == (
+            ((1,), (1,)), ((0, 4), (F(1, 2), F(1, 2))), ((3, 4), (F(1, 3), F(1, 3))),
+        )
+        assert reps[3] == (((3,), (1,)), ((0, 1), (1, 1)), ((0, 4), (F(3, 2), F(1, 2))))
+
+    def test_empty(self):
+        assert conic_dependences([]) == ((), ())
+
+    @pytest.mark.parametrize("vectors", [[(1, 0), (0,)], [(1, 0), (0, 0)], [(0.5, 1)]])
+    def test_bad_input(self, vectors):
+        with pytest.raises(InputError):
+            conic_dependences(vectors)
+
+    def test_agrees_with_definitions(self):
+        sets = [H for _, H in named_normal_sets()]
+        sets += random_normal_sets(40, seed=6, max_dim=4)
+        for H in sets:
+            circuits, reps = conic_dependences(H.normals)
+            brute_circuits, brute_reps = brute_conic_dependences(H.normals)
+            assert [S for S, _ in circuits] == brute_circuits
+            assert [list(entries) for entries in reps] == brute_reps
+
+
+@st.composite
+def strong_cases(draw):
+    """(K, X, queries): K from ``random_instance`` in dims 2 and 3, X of 1 to
+    4 points shrunk by a drawn factor so that both fitting and non-fitting X
+    come up, and queries a convex combination of X and a point near it."""
+    dim = draw(st.sampled_from((2, 3)))
+    config = ExperimentConfig(
+        seed=draw(st.integers(0, 10 ** 6)), trials=1, dim=dim,
+        max_normals=dim + 3, max_points=4, coordinate_bound=3, scaling_depth=0,
+    )
+    K, _ = random_instance(config, 0)
+    shrink = draw(st.sampled_from((F(1), F(1, 2), F(1, 4))))
+    points = draw(st.lists(vectors(dim), min_size=1, max_size=4, unique=True))
+    X = PointSet(dim, tuple(vscale(x, shrink) for x in points))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(X), max_size=len(X)))
+    if not any(weights):
+        weights[0] = 1
+    inside = tuple(
+        sum(w * x[d] for w, x in zip(weights, X.points)) / sum(weights)
+        for d in range(dim)
+    )
+    nearby = vadd(inside, vscale(draw(vectors(dim)), F(1, 4)))
+    return K, X, (inside, nearby)
+
+
+def _outcome(search, K, X, p):
+    try:
+        return search(K, X, p).points
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _facet_lp_supports(K, supports):
+    """b_i minus the optimum of facet i's LP, the same limit as
+    ``_tight_supports`` computed by the simplex."""
+    rows = _translate_rows(K, supports)
+    return [
+        b - maximize(rows, vneg(a), K.dim, nonneg=False).value
+        for a, b in zip(K.normals, K.offsets)
+    ]
+
+
+class TestTablePath:
+    """The conic-dependence table against the facet LPs."""
+
+    # The unit square with its corner (1, 1) cut off by x + y <= 3/2.
+    PENTAGON = Polytope(
+        2,
+        ((F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1)), (F(1), F(1))),
+        (F(1), F(1), F(0), F(0), F(3, 2)),
+    )
+
+    def test_hull_beyond_restricted_hull(self):
+        # X = {(1, 0), (0, 1)} fits only in K itself, so its strong hull is
+        # the pentagon; x + y <= 1 bounds its restricted hull, but a_5 = a_1
+        # + a_2 raises that support to 3/2.
+        X = PointSet(2, ((F(1), F(0)), (F(0), F(1))))
+        p = (F(1), F(1, 2))
+        supports = [support(X, a) for a in self.PENTAGON.normals]
+        assert _tight_supports(self.PENTAGON, supports) == [1, 1, 0, 0, F(3, 2)]
+        assert not h_hull_contains(self.PENTAGON.normal_set(), X, p)
+        assert strong_hull_contains(self.PENTAGON, X, p)
+        assert minimal_strong_witness(self.PENTAGON, X, p) == X
+
+    @settings(max_examples=120, deadline=None)
+    @given(strong_cases())
+    def test_agrees_with_facet_lps(self, case):
+        K, X, queries = case
+        supports = [support(X, a) for a in K.normals]
+        tight = _tight_supports(K, supports)
+        for p in queries:
+            try:
+                lp_member = _member_with_supports(K, supports, p)
+            except PreconditionError:
+                assert tight is None
+            else:
+                assert tight == _facet_lp_supports(K, supports)
+                table_member = all(dot(a, p) <= t for a, t in zip(K.normals, tight))
+                assert table_member == lp_member
+            assert _outcome(minimal_strong_witness, K, X, p) == _outcome(
+                lp_minimal_strong_witness, K, X, p
+            )
+
+    @staticmethod
+    def corpus_cases():
+        """(K, X, p) on every named polytope: the extremal witness of its
+        larger invariant scaled by 1, 1/2 and 1/4 with the origin and the
+        points' centroid as queries, the scaling check's own cases."""
+        cases = []
+        for _, K, _ in named_polytopes():
+            H = K.normal_set()
+            report = caratheodory_number(H)
+            if report.helly >= report.cone:
+                witness = helly_witness_points(H, report.helly_witness)
+            else:
+                witness = cone_witness_points(H, report.cone_witness)
+            for eps in (F(1), F(1, 2), F(1, 4)):
+                X = PointSet(K.dim, tuple(vscale(x, eps) for x in witness.points.points))
+                centroid = tuple(sum(c) / len(X) for c in zip(*X.points))
+                cases += [(K, X, (F(0),) * K.dim), (K, X, centroid)]
+        return cases
+
+    def test_witness_search_solves_no_lp(self, monkeypatch):
+        cases = self.corpus_cases()
+        expected = [_outcome(lp_minimal_strong_witness, *case) for case in cases]
+        assert any(isinstance(e, tuple) and len(e) > 1 for e in expected)
+        assert any(isinstance(e, str) for e in expected)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(hcara.strong, "maximize", no_lp)
+        monkeypatch.setattr(hcara.strong, "feasible_point", no_lp)
+        assert [_outcome(minimal_strong_witness, *case) for case in cases] == expected
+
+    def test_reference_path_still_solves_lps(self, monkeypatch):
+        calls = []
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(hcara.strong, "maximize", spy(hcara.strong.maximize))
+        monkeypatch.setattr(
+            hcara.strong, "feasible_point", spy(hcara.strong.feasible_point)
+        )
+        X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
+        assert strong_hull_contains(CUBE2, X, (F(1), F(0)))
+        assert calls == ["maximize"] * len(CUBE2)
+        assert fits_in_translate(CUBE2, X) is not None
+        assert calls[len(CUBE2):] == ["feasible_point"]
 
 
 class TestFits:
@@ -169,8 +368,25 @@ class TestMinimalWitness:
 
     def test_precondition(self):
         X = PointSet(2, ((F(0), F(0)),))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="not in the hull"):
             minimal_strong_witness(CUBE2, X, (F(5), F(5)))
+
+    @pytest.mark.parametrize("p", [(F(0),), (F(0), F(0), F(0))])
+    def test_query_dimension_checked(self, p):
+        with pytest.raises(InputError, match="wrong dimension"):
+            minimal_strong_witness(CUBE2, PointSet(2, ((F(0), F(0)),)), p)
+
+    def test_point_dimension_checked(self):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            minimal_strong_witness(CUBE2, PointSet(3, ((F(0), F(0), F(0)),)), (F(0), F(0)))
+
+    @pytest.mark.parametrize(
+        "query", [strong_hull_contains, minimal_strong_witness, guard_assignment]
+    )
+    def test_float_query_rejected(self, query):
+        X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
+        with pytest.raises(InputError, match="float"):
+            query(CUBE2, X, (0.5, F(0)))
 
     def test_pyramid_scaled_cone_witness_needs_all_points(self):
         from hcara.invariants import caratheodory_number
@@ -202,7 +418,7 @@ class TestNonFittingX:
 
     @pytest.mark.parametrize("p", [(F(1), F(0)), (F(5), F(5))])
     def test_minimal_strong_witness(self, p):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="does not fit"):
             minimal_strong_witness(CUBE2, self.WIDE, p)
 
 
