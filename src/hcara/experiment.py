@@ -26,7 +26,9 @@ from .errors import InputError, PreconditionError, SamplingError
 from .hconvex import NormalSet, PointSet, h_hull_contains
 from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
-from .linear import Vector, dot, primitive_direction, vadd, vscale, zero_vector
+from .linear import (
+    Vector, conic_dependences, dot, primitive_direction, vadd, vscale, zero_vector,
+)
 from .shapes import cube_polytope
 from .strong import (
     Polytope,
@@ -151,10 +153,12 @@ def random_instance(config: ExperimentConfig, trial_index: int):
             if key not in seen:
                 seen.add(key)
                 normals.append(v)
-        if len(normals) < dim + 1 or not spans_positively(normals, dim):
+        table = conic_dependences(normals)
+        if not spans_positively(normals, dim, table):
             continue
+        # offsets >= 1 put the origin inside, as redundant_rows requires
         offsets = [Fraction(rng.randint(1, cb)) for _ in normals]
-        for i in sorted(redundant_rows(normals, offsets, dim), reverse=True):
+        for i in sorted(redundant_rows(offsets, table), reverse=True):
             del normals[i]
             del offsets[i]
         if len(normals) < dim + 1:

@@ -213,7 +213,9 @@ def conic_dependences(vectors):
     ``(B, lam)`` for every linearly independent B and ``lam > 0`` with
     a_i = sum lam_j a_j, the trivial ``((i,), (1,))`` first: the vertices of
     {lam >= 0 : sum lam_j a_j = a_i}.  Index sets are increasing tuples and
-    both lists are in (size, lexicographic) order.
+    both lists are in (size, lexicographic) order, apart from the trivial
+    representation, which stays first even when a parallel a_j with j < i
+    gives a one-element representation too.
 
     One pass over the linearly independent B with |B| <= d, depth first, so
     each B extends its prefix's fraction-free Gauss-Jordan elimination of the
@@ -274,7 +276,7 @@ def conic_dependences(vectors):
         if combination(S, mu) != zero_vector(dim):
             raise InternalConsistencyError(f"circuit {S} does not vanish")
     for i, entries in enumerate(reps):
-        entries.sort(key=lambda e: (len(e[0]), e[0]))
+        entries.sort(key=lambda e: (e[0] != (i,), len(e[0]), e[0]))
         for B, lam in entries:
             if combination(B, lam) != vectors[i]:
                 raise InternalConsistencyError(f"representation {B} of {i} is wrong")

@@ -20,17 +20,17 @@ Two paths decide this, and each checks the other:
   So the hull is the normal-restricted hull of X with the supports raised to
   b_i - min <lam_B, c_B> (``_tight_supports``).
 
-K bounded makes the region bounded, so the optima exist.
+K bounded makes the region bounded, so the optima exist.  ``Polytope``
+construction reads its own validity checks off the same table, with no LP.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .hconvex import NormalSet, PointSet, h_hull_contains, support
-from .invariants import positive_hull_contains
 from .jsonio import (
     positive_int,
     rational_from_json,
@@ -39,18 +39,8 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import (
-    Vector,
-    conic_dependences,
-    dot,
-    exact,
-    is_zero_vector,
-    rank,
-    vadd,
-    vneg,
-    zero_vector,
-)
-from .lp import GE, LE, LpStatus, feasible_point, maximize
+from .linear import Vector, conic_dependences, dot, exact, is_zero_vector, rank, vneg
+from .lp import GE, LpStatus, feasible_point, maximize
 
 __all__ = [
     "Polytope",
@@ -62,65 +52,52 @@ __all__ = [
 ]
 
 
-def spans_positively(normals, dim) -> bool:
+def _weighted(indices, coeffs, values) -> Fraction:
+    """sum of coeffs[k] * values[indices[k]]: a table entry applied to a
+    per-row vector such as the offsets."""
+    return sum(x * values[j] for j, x in zip(indices, coeffs))
+
+
+def spans_positively(normals, dim, table) -> bool:
     """True iff the positive hull of the normals is all of R^dim, which is
-    exactly boundedness of any polytope with those outer normals.
+    exactly boundedness of any polytope with those outer normals; ``table``
+    is ``linear.conic_dependences(normals)``.
 
-    Decided as: the normals span R^dim and some strictly positive combination
-    of them vanishes, i.e. (lambda = 1 + mu) -(sum of the normals) lies in
-    their positive hull, one LP.
+    Decided as: the normals span R^dim and every normal lies in a circuit.
+    The circuits generate the cone of vanishing combinations mu >= 0, so a
+    strictly positive one exists exactly when they cover every normal.
     """
-    total = reduce(vadd, normals, zero_vector(dim))
-    return rank(normals) == dim and positive_hull_contains(normals, vneg(total))
+    circuits, _ = table
+    covered = {j for S, _ in circuits for j in S}
+    return rank(normals) == dim and len(covered) == len(normals)
 
 
-def interior_slack(normals, offsets, dim) -> Fraction:
-    """Exact optimum of the uniform-slack program max s, <a_i, x> + s <= b_i.
+def redundant_rows(offsets, table) -> list[int]:
+    """Indices of rows implied by the others (non-facets), given the
+    conic-dependence table of the normals of rows with nonempty interior.
 
-    Positive exactly when the polytope has nonempty interior.  Requires a
-    bounded polytope, otherwise the program may be unbounded.
+    By LP duality the maximum of <a_i, x> under the other rows is the least
+    <lam, b_B> over the nontrivial representations (B, lam) of a_i, or
+    unbounded when there is none.  Simultaneous deletion of all reported rows
+    is sound only when no two rows describe the same halfspace (equal up to
+    positive scaling): a doubly represented facet flags both copies.
     """
-    rows = []
-    for a, b in zip(normals, offsets):
-        rows.append((tuple(a) + (Fraction(1),), LE, b))
-    outcome = maximize(
-        rows, (Fraction(0),) * dim + (Fraction(1),), dim + 1, nonneg=False
-    )
-    if outcome.status is not LpStatus.OPTIMAL:
-        raise InternalConsistencyError(
-            "slack program of a bounded polytope must have an optimum"
-        )
-    return outcome.value
-
-
-def redundant_rows(normals, offsets, dim) -> list[int]:
-    """Indices of rows implied by the others (non-facets).
-
-    Simultaneous deletion of all reported rows is sound only when no two rows
-    describe the same halfspace (equal up to positive scaling): a doubly
-    represented facet flags both copies.
-    """
-    out = []
-    for i in range(len(normals)):
-        rows = [
-            (normals[j], LE, offsets[j])
-            for j in range(len(normals))
-            if j != i
-        ]
-        outcome = maximize(rows, normals[i], dim, nonneg=False)
-        if outcome.status is LpStatus.OPTIMAL and outcome.value <= offsets[i]:
-            out.append(i)
-    return out
+    _, reps = table
+    return [
+        i for i, entries in enumerate(reps)
+        if any(_weighted(B, lam, offsets) <= offsets[i] for B, lam in entries[1:])
+    ]
 
 
 @dataclass(frozen=True)
 class Polytope:
     """Bounded full-dimensional polytope {x : <a_i, x> <= b_i}.
 
-    Construction verifies boundedness (the normals positively span), nonempty
-    interior (positive uniform slack), and that every row is a facet (no row
-    is implied by the others).  Facet count therefore equals the size of the
-    collapsed normal set.
+    Construction reads three checks off the conic-dependence table of the
+    normals, with no LP: bounded (``spans_positively``), nonempty interior
+    (<mu_S, b_S> > 0 for every circuit S, by Gordan), and every row a facet
+    (``redundant_rows``), in that order.  Facet count therefore equals the
+    size of the collapsed normal set.
     """
 
     dim: int
@@ -143,11 +120,12 @@ class Polytope:
                 raise InputError("zero vector cannot be a facet normal")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-        if not spans_positively(normals, self.dim):
+        table = self.conic_dependences
+        if not spans_positively(normals, self.dim, table):
             raise InputError("polytope is unbounded: normals do not span positively")
-        if interior_slack(normals, offsets, self.dim) <= 0:
+        if any(_weighted(S, mu, offsets) <= 0 for S, mu in table[0]):
             raise InputError("polytope has empty interior")
-        bad = redundant_rows(normals, offsets, self.dim)
+        bad = redundant_rows(offsets, table)
         if bad:
             raise InputError(f"rows {bad} are redundant, not facets")
 
@@ -250,10 +228,10 @@ def _tight_supports(K: Polytope, supports):
     p is in the strong hull exactly when <a_i, p> <= tight_i for every i."""
     circuits, reps = K.conic_dependences
     c = [b - s for b, s in zip(K.offsets, supports)]
-    if any(sum(m * c[j] for j, m in zip(S, mu)) < 0 for S, mu in circuits):
+    if any(_weighted(S, mu, c) < 0 for S, mu in circuits):
         return None
     return [
-        b - min(sum(x * c[j] for j, x in zip(B, lam)) for B, lam in entries)
+        b - min(_weighted(B, lam, c) for B, lam in entries)
         for b, entries in zip(K.offsets, reps)
     ]
 
@@ -288,8 +266,7 @@ def guard_assignment(K: Polytope, X: PointSet, p: Vector):
     Returns the full map {point index: normal index} or None when some point
     has no such normal.
     """
-    _check_joint(K, X)
-    p = tuple(exact(c) for c in p)
+    p = _query(K, X, p)
     out = {}
     for j, x in enumerate(X.points):
         found = None

@@ -4,7 +4,9 @@ Everything enumerates all 2^|H| subsets directly so the pruned searches in the
 package have an independent path to agree with.  ``fraction_simplex`` is the
 LP kernel on a Fraction tableau, frozen as the reference for the integer one;
 ``lp_minimal_strong_witness`` is the minimal strong witness searched with the
-facet LPs, the reference for the conic-dependence table.
+facet LPs, and ``lp_interior_slack`` and ``lp_redundant_rows`` are the
+``Polytope`` construction checks as LPs, the references for the
+conic-dependence table.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -17,7 +19,7 @@ from hcara.invariants import (
     positive_hull_contains,
 )
 from hcara.linear import dot, rank, solve_linear
-from hcara.lp import EQ, LE, feasible_point
+from hcara.lp import EQ, LE, LpStatus, feasible_point, maximize
 from hcara.strong import Polytope, _member_with_supports, strong_hull_contains
 
 _Q0 = Fraction(0)
@@ -125,6 +127,45 @@ def brute_conic_dependences(vectors):
                     found.append((B, lam))
         reps.append(found)
     return circuits, reps
+
+
+def lp_interior_slack(normals, offsets, dim) -> Fraction:
+    """Exact optimum of the uniform-slack program max s, <a_i, x> + s <= b_i.
+
+    Positive exactly when the polytope has nonempty interior.  Requires a
+    bounded polytope, otherwise the program may be unbounded.
+    """
+    rows = []
+    for a, b in zip(normals, offsets):
+        rows.append((tuple(a) + (Fraction(1),), LE, b))
+    outcome = maximize(
+        rows, (Fraction(0),) * dim + (Fraction(1),), dim + 1, nonneg=False
+    )
+    if outcome.status is not LpStatus.OPTIMAL:
+        raise InternalConsistencyError(
+            "slack program of a bounded polytope must have an optimum"
+        )
+    return outcome.value
+
+
+def lp_redundant_rows(normals, offsets, dim) -> list[int]:
+    """Indices of rows implied by the others (non-facets).
+
+    Simultaneous deletion of all reported rows is sound only when no two rows
+    describe the same halfspace (equal up to positive scaling): a doubly
+    represented facet flags both copies.
+    """
+    out = []
+    for i in range(len(normals)):
+        rows = [
+            (normals[j], LE, offsets[j])
+            for j in range(len(normals))
+            if j != i
+        ]
+        outcome = maximize(rows, normals[i], dim, nonneg=False)
+        if outcome.status is LpStatus.OPTIMAL and outcome.value <= offsets[i]:
+            out.append(i)
+    return out
 
 
 def lp_minimal_strong_witness(K: Polytope, X: PointSet, p):

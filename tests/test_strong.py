@@ -8,9 +8,12 @@ from conftest import named_normal_sets, named_polytopes, random_normal_sets
 from oracles import (
     brute_conic_dependences,
     brute_spans_positively,
+    lp_interior_slack,
     lp_minimal_strong_witness,
+    lp_redundant_rows,
 )
 
+import hcara.lp
 import hcara.strong
 from hcara.errors import InputError, PreconditionError
 from hcara.experiment import ExperimentConfig, random_instance
@@ -21,6 +24,7 @@ from hcara.lp import maximize
 from hcara.shapes import (
     cube_polytope,
     pyramid_polytope,
+    simplex_normals,
     triangle_polytope,
 )
 from hcara.strong import (
@@ -94,6 +98,100 @@ class TestPolytopeInvariants:
         assert K == CUBE2 and hash(K) == hash(CUBE2)
 
 
+def _lp_verdict(dim, normals, offsets):
+    """The InputError message of the LP construction checks, in
+    ``Polytope``'s order, or None when they accept the rows."""
+    if not brute_spans_positively(normals, dim):
+        return "polytope is unbounded: normals do not span positively"
+    if lp_interior_slack(normals, offsets, dim) <= 0:
+        return "polytope has empty interior"
+    bad = lp_redundant_rows(normals, offsets, dim)
+    return f"rows {bad} are redundant, not facets" if bad else None
+
+
+def _verdict(dim, normals, offsets):
+    """``Polytope``'s InputError message for the rows, or None."""
+    try:
+        Polytope(dim, tuple(normals), tuple(offsets))
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+_SQUARE = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@st.composite
+def row_systems(draw):
+    """(dim, normals, offsets) in dims 2 and 3 with dim + 1 to 2 dim + 2
+    rows: nonzero normals, some of them positive multiples of earlier ones,
+    and offsets of both signs.  Half the systems start from the normals of a
+    simplex, so bounded ones, and hence every later check, come up often."""
+    dim = draw(st.sampled_from((2, 3)))
+    count = draw(st.integers(dim + 1, 2 * dim + 2))
+    normals = []
+    if draw(st.booleans()):
+        normals = list(simplex_normals(dim).normals)
+    while len(normals) < count:
+        if normals and draw(st.integers(0, 3)) == 0:
+            scale = draw(st.sampled_from((F(1), F(1, 2), F(2))))
+            normals.append(vscale(draw(st.sampled_from(normals)), scale))
+        else:
+            normals.append(draw(vectors(dim).filter(any)))
+    offsets = draw(st.lists(small_fractions, min_size=count, max_size=count))
+    return dim, normals, offsets
+
+
+class TestValidationFromTable:
+    """``Polytope`` construction from the conic-dependence table against the
+    LP checks it replaced."""
+
+    @pytest.mark.parametrize(
+        "normals, offsets, expected",
+        [
+            ([(1, 0), (0, 1), (1, 1)], [1, 1, 1],
+             "polytope is unbounded: normals do not span positively"),
+            (_SQUARE, [0, 0, 1, 1], "polytope has empty interior"),
+            (_SQUARE, [-1, 0, 1, 1], "polytope has empty interior"),
+            (_SQUARE + ((1, 1),), [1, 0, 1, 0, 5], "rows [4] are redundant, not facets"),
+            # x <= 1 twice: each copy is implied by the other
+            (_SQUARE + ((1, 0),), [1, 0, 1, 0, 1], "rows [0, 4] are redundant, not facets"),
+            (_SQUARE + ((2, 0),), [1, 0, 1, 0, 2], "rows [0, 4] are redundant, not facets"),
+            # 2x <= 4 is implied by the later x <= 1, not the other way round
+            (((2, 0),) + _SQUARE[1:] + ((1, 0),), [4, 0, 1, 0, 1],
+             "rows [0] are redundant, not facets"),
+            (_SQUARE + ((1, 1),), [1, 0, 1, 0, F(3, 2)], None),
+        ],
+    )
+    def test_named_rows(self, normals, offsets, expected):
+        normals = [tuple(F(c) for c in a) for a in normals]
+        offsets = [F(b) for b in offsets]
+        assert _lp_verdict(2, normals, offsets) == expected
+        assert _verdict(2, normals, offsets) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_systems())
+    def test_agrees_with_lp_checks(self, system):
+        assert _verdict(*system) == _lp_verdict(*system)
+
+    def test_construction_solves_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        # maximize and feasible_point, wherever a module binds them, both
+        # call hcara.lp._solve.
+        monkeypatch.setattr(hcara.lp, "_solve", no_lp)
+        cube_polytope.cache_clear()
+        assert len(named_polytopes()) == 13
+        for dim in (2, 3):
+            config = ExperimentConfig(
+                seed=42, trials=1, dim=dim, max_normals=dim + 3, max_points=4,
+                coordinate_bound=3, scaling_depth=0,
+            )
+            for trial_index in range(6):
+                random_instance(config, trial_index)
+
+
 @st.composite
 def normal_families(draw):
     """(dim, normals) in dims 2 and 3; in dim 3 every normal is sometimes
@@ -119,14 +217,19 @@ class TestSpansPositively:
     )
     def test_named_families(self, dim, normals, expected):
         normals = [tuple(F(c) for c in a) for a in normals]
-        assert spans_positively(normals, dim) is expected
+        assert spans_positively(normals, dim, conic_dependences(normals)) is expected
         assert brute_spans_positively(normals, dim) is expected
 
     @settings(max_examples=150, deadline=None)
     @given(normal_families())
     def test_agrees_with_axis_definition(self, family):
         dim, normals = family
-        assert spans_positively(normals, dim) == brute_spans_positively(normals, dim)
+        # zero normals lie in every positive hull, and the table has no room
+        # for them
+        nonzero = [a for a in normals if any(a)]
+        assert spans_positively(
+            nonzero, dim, conic_dependences(nonzero)
+        ) == brute_spans_positively(normals, dim)
 
 
 class TestConicDependences:
@@ -373,8 +476,9 @@ class TestMinimalWitness:
 
     @pytest.mark.parametrize("p", [(F(0),), (F(0), F(0), F(0))])
     def test_query_dimension_checked(self, p):
-        with pytest.raises(InputError, match="wrong dimension"):
-            minimal_strong_witness(CUBE2, PointSet(2, ((F(0), F(0)),)), p)
+        for query in (strong_hull_contains, minimal_strong_witness, guard_assignment):
+            with pytest.raises(InputError, match="wrong dimension"):
+                query(CUBE2, PointSet(2, ((F(0), F(0)),)), p)
 
     def test_point_dimension_checked(self):
         with pytest.raises(InputError, match="dimension mismatch"):
