@@ -1,7 +1,9 @@
-"""Exact rational vectors and dense linear algebra over the rationals.
+"""Exact rational vectors and fraction-free integer elimination.
 
 Vectors are plain tuples of ``fractions.Fraction``; every operation here is
-exact, deterministic and free of floating point.
+exact, deterministic and free of floating point.  Rank, linear solves, the
+conic-dependence table and the simplex in ``lp`` all eliminate on int rows
+cleared of denominators, with one Gauss-Jordan step, :func:`pivot`.
 """
 from __future__ import annotations
 
@@ -82,65 +84,61 @@ def primitive_direction(v: Vector) -> tuple[int, ...]:
     return tuple(n // g for n in ints)
 
 
+def pivot(rows, r, c):
+    """Fraction-free Gauss-Jordan step on entry (r, c) of an int matrix, in
+    place; returns the pivot row.
+
+    Each row stands for a positive integer multiple of a true row, so the
+    pivot row is only sign-flipped when its pivot is negative, and every
+    other row with a nonzero in column c becomes ``row*p - f*prow`` divided
+    by its gcd, again a positive multiple of its true row.  The simplex, the
+    conic-dependence table and every elimination here take this one step.
+    """
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        prow = rows[r] = [-v for v in prow]
+        p = -p
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            rows[i] = reduced_row([x * p - f * y for x, y in zip(row, prow)])
+    return prow
+
+
+def _echelon(m, ncols) -> list[int]:
+    """Bring the int matrix ``m`` to reduced echelon form in its first
+    ``ncols`` columns, in place, by :func:`pivot`; later columns ride along
+    as right-hand sides.  Returns the pivot columns: the k-th pivot sits in
+    row k with a positive entry, and every row past the last pivot is zero
+    in the first ``ncols`` columns."""
+    cols = []
+    for c in range(ncols):
+        k = len(cols)
+        r = next((r for r in range(k, len(m)) if m[r][c]), None)
+        if r is not None:
+            m[k], m[r] = m[r], m[k]
+            pivot(m, k, c)
+            cols.append(c)
+    return cols
+
+
+def _exact_vectors(vectors, what) -> list[Vector]:
+    """The vectors with every entry through :func:`exact`; InputError when
+    their dimensions differ."""
+    vectors = [tuple(exact(c) for c in v) for v in vectors]
+    if any(len(v) != len(vectors[0]) for v in vectors):
+        raise InputError(f"{what}: all vectors must share one dimension")
+    return vectors
+
+
 def rank(vectors) -> int:
-    """Exact rank of a family of vectors via fraction-free (Bareiss) elimination."""
-    vectors = list(vectors)
+    """Exact rank of a family of vectors: the pivots of one fraction-free
+    elimination."""
+    vectors = _exact_vectors(vectors, "rank")
     if not vectors:
         return 0
-    dim = len(vectors[0])
-    for v in vectors:
-        if len(v) != dim:
-            raise InputError("rank: all vectors must share one dimension")
-    m = [clear_denominators(v)[0] for v in vectors]
-    nrows = len(m)
-    row = 0
-    prev = 1
-    for col in range(dim):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, dim):
-                m[r][c] = (m[r][c] * m[row][col] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        row += 1
-        if row == nrows:
-            break
-    return row
-
-
-def _gauss_any_solution(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """One exact solution of matrix * y = rhs with free variables set to 0,
-    or None if the system is inconsistent."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols] != 0:
-            return None
-    y = [Fraction(0)] * ncols
-    for r, c in pivots:
-        y[c] = aug[r][ncols]
-    return y
+    return len(_echelon([clear_denominators(v)[0] for v in vectors], len(vectors[0])))
 
 
 def solve_linear(rows, rhs) -> Vector | None:
@@ -148,58 +146,64 @@ def solve_linear(rows, rhs) -> Vector | None:
 
     Returns None when inconsistent.  Underdetermined systems yield the unique
     minimum-norm solution, i.e. the solution lying in the row space: with
-    G = A A^T we solve G y = rhs and return A^T y.
+    G = A A^T we solve G y = rhs and return A^T y.  Each row and its
+    right-hand side are cleared of denominators together, so G, y's
+    numerators and A^T y's numerators are all ints.
     """
-    rows = [tuple(Fraction(c) for c in r) for r in rows]
-    rhs = [Fraction(b) for b in rhs]
+    rows = _exact_vectors(rows, "solve_linear")
+    rhs = [exact(b) for b in rhs]
     if len(rows) != len(rhs):
         raise InputError("solve_linear: one right-hand side per row required")
     if not rows:
         raise InputError("solve_linear: empty system has no defined dimension")
-    dim = len(rows[0])
-    for r in rows:
-        if len(r) != dim:
-            raise InputError("solve_linear: rows must share one dimension")
-    k = len(rows)
-    gram = [[dot(rows[i], rows[j]) for j in range(k)] for i in range(k)]
-    y = _gauss_any_solution(gram, rhs)
-    if y is None:
+    dim, k = len(rows[0]), len(rows)
+    A = [clear_denominators(r + (b,))[0] for r, b in zip(rows, rhs)]
+    m = [[sum(x * y for x, y in zip(a[:dim], b)) for b in A] + [a[dim]] for a in A]
+    cols = _echelon(m, k)
+    if any(row[k] for row in m[len(cols):]):
         return None
-    x = [Fraction(0)] * dim
-    for i in range(k):
-        if y[i]:
-            for j in range(dim):
-                x[j] += y[i] * rows[i][j]
-    return tuple(x)
+    # y_c = m[r][k] / m[r][c] for the pivot c of row r, free y_c = 0; over
+    # the common denominator d, x = A^T y is (sum_r y_c d * A[c]) / d.
+    d = lcm(*(m[r][c] for r, c in enumerate(cols)))
+    x = [0] * dim
+    for r, c in enumerate(cols):
+        w = m[r][k] * (d // m[r][c])
+        if w:
+            x = [v + w * a for v, a in zip(x, A[c])]
+    return tuple(Fraction(v, d) for v in x)
 
 
 def vanishing_combination(vectors) -> Vector | None:
     """The lambda with lambda_0 = 1 and sum lambda_i s_i = 0 when the vanishing
     combinations of the vectors form a line (rank |S| - 1) that does not lie
-    in lambda_0 = 0; None otherwise."""
-    vectors = list(vectors)
-    if not vectors or rank(vectors) != len(vectors) - 1:
+    in lambda_0 = 0; None otherwise.
+
+    One elimination of the coordinate rows, whose columns are the vectors
+    cleared of denominators: the line is there exactly when one column f is
+    free, and its kernel vector kappa has kappa_f = 1 and kappa_c =
+    -m[r][f] / m[r][c] at the pivot c of row r.
+    """
+    vectors = _exact_vectors(vectors, "vanishing_combination")
+    n = len(vectors)
+    if not n:
         return None
-    first, rest = vectors[0], vectors[1:]
-    tail = solve_linear(list(zip(*rest)), [-c for c in first]) if rest else ()
-    return None if tail is None else (Fraction(1),) + tail
-
-
-def _pivoted(M, r, k, c):
-    """Copy of the int matrix M after a fraction-free Gauss-Jordan pivot on
-    (r, c), with row r moved to position k and its pivot made positive."""
-    M = [row[:] for row in M]
-    M[k], M[r] = M[r], M[k]
-    prow = M[k]
-    p = prow[c]
-    if p < 0:
-        prow = M[k] = [-v for v in prow]
-        p = -p
-    for i, row in enumerate(M):
-        f = row[c]
-        if f and i != k:
-            M[i] = reduced_row([x * p - f * y for x, y in zip(row, prow)])
-    return M
+    cleared = [clear_denominators(v) for v in vectors]
+    m = [list(row) for row in zip(*(ints for ints, _ in cleared))]
+    cols = _echelon(m, n)
+    if len(cols) != n - 1:
+        return None
+    (f,) = set(range(n)).difference(cols)
+    # kappa over the common denominator d of its pivot entries.
+    d = lcm(*(m[r][c] for r, c in enumerate(cols)))
+    kappa = [0] * n
+    kappa[f] = d
+    for r, c in enumerate(cols):
+        kappa[c] = -m[r][f] * (d // m[r][c])
+    if not kappa[0]:
+        return None
+    # Column i is s_i a_i for the scale s_i of a_i, so lambda_i ~ kappa_i s_i.
+    lam0 = kappa[0] * cleared[0][1]
+    return tuple(Fraction(kv * s, lam0) for kv, (_, s) in zip(kappa, cleared))
 
 
 def conic_dependences(vectors):
@@ -224,15 +228,12 @@ def conic_dependences(vectors):
     lam < 0 everywhere is the circuit B + {i}.  Every entry is checked by
     substitution.
     """
-    vectors = [tuple(exact(c) for c in v) for v in vectors]
+    vectors = _exact_vectors(vectors, "conic_dependences")
     if not vectors:
         return (), ()
     dim = len(vectors[0])
-    for v in vectors:
-        if len(v) != dim:
-            raise InputError("conic_dependences: all vectors must share one dimension")
-        if is_zero_vector(v):
-            raise InputError("conic_dependences: the zero vector has no direction")
+    if any(is_zero_vector(v) for v in vectors):
+        raise InputError("conic_dependences: the zero vector has no direction")
     m = len(vectors)
     cleared = [clear_denominators(v) for v in vectors]
     scale = [s for _, s in cleared]
@@ -264,7 +265,10 @@ def conic_dependences(vectors):
         for c in range(B[-1] + 1 if B else 0, m):
             r = next((r for r in range(k, dim) if M[r][c]), None)
             if r is not None:
-                visit(_pivoted(M, r, k, c), B + (c,))
+                N = [row[:] for row in M]
+                N[k], N[r] = N[r], N[k]
+                pivot(N, k, c)
+                visit(N, B + (c,))
 
     visit([list(row) for row in zip(*(ints for ints, _ in cleared))], ())
 

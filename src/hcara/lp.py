@@ -1,6 +1,7 @@
 """Exact linear programming: two-phase primal simplex with Bland's rule.
 
-The simplex pivots on an integer tableau: every row, the z-row included, is
+The simplex pivots on an integer tableau with ``linear.pivot``, the step
+every exact elimination in hcara takes: every row, the z-row included, is
 a positive integer multiple of its true rational row, and the row's own
 basic entry is its denominator.  Inputs arrive as ints or fractions.Fraction
 and witnesses leave as Fraction, so feasibility and optimality are decided
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputError, InternalConsistencyError
-from .linear import Vector, clear_denominators, dot, exact, reduced_row
+from .linear import Vector, clear_denominators, dot, exact, pivot, reduced_row
 
 _Q0 = Fraction(0)
 
@@ -85,22 +86,12 @@ class LpOutcome:
 
 
 def _pivot(T, z, basis, pr, pc):
-    """Pivot on (pr, pc).  Each row is stored as a positive integer multiple
-    of its true row, so the pivot row is only sign-flipped when its pivot is
-    negative; every other row with a nonzero in column pc becomes
-    ``row*p - f*prow`` divided by its gcd, again a positive multiple."""
-    prow = T[pr]
-    p = prow[pc]
-    if p < 0:
-        prow = T[pr] = [-v for v in prow]
-        p = -p
-    for i, row in enumerate(T):
-        f = row[pc]
-        if f and i != pr:
-            T[i] = reduced_row([a * p - f * b for a, b in zip(row, prow)])
+    """Pivot on (pr, pc): :func:`linear.pivot` on the rows, the same step on
+    the z-row, and pc enters the basis in row pr."""
+    prow = pivot(T, pr, pc)
     f = z[pc]
     if f:
-        z[:] = reduced_row([a * p - f * b for a, b in zip(z, prow)])
+        z[:] = reduced_row([a * prow[pc] - f * b for a, b in zip(z, prow)])
     basis[pr] = pc
 
 

@@ -6,19 +6,21 @@ LP kernel on a Fraction tableau, frozen as the reference for the integer one;
 ``lp_minimal_strong_witness`` is the minimal strong witness searched with the
 facet LPs, and ``lp_interior_slack`` and ``lp_redundant_rows`` are the
 ``Polytope`` construction checks as LPs, the references for the
-conic-dependence table.
+conic-dependence table.  ``bareiss_rank``, ``gram_solve_linear`` and
+``rank_then_solve_vanishing`` are the linear algebra that
+``hcara.linear.pivot`` replaced.
 """
 from fractions import Fraction
 from itertools import combinations
 
-from hcara.errors import InternalConsistencyError, PreconditionError
+from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.hconvex import PointSet
 from hcara.invariants import (
     is_conical_position,
     is_simplex_with_origin,
     positive_hull_contains,
 )
-from hcara.linear import dot, rank, solve_linear
+from hcara.linear import Vector, clear_denominators, dot
 from hcara.lp import EQ, LE, LpStatus, feasible_point, maximize
 from hcara.strong import Polytope, _member_with_supports, strong_hull_contains
 
@@ -120,9 +122,9 @@ def brute_conic_dependences(vectors):
         for k in range(1, dim + 1):
             for B in combinations(others, k):
                 basis = [vectors[j] for j in B]
-                if rank(basis) < k:
+                if bareiss_rank(basis) < k:
                     continue
-                lam = solve_linear([tuple(v[d] for v in basis) for d in range(dim)], a)
+                lam = gram_solve_linear([tuple(v[d] for v in basis) for d in range(dim)], a)
                 if lam is not None and all(x > 0 for x in lam):
                     found.append((B, lam))
         reps.append(found)
@@ -339,3 +341,110 @@ def fraction_simplex(num_vars, rows, objective, nonneg):
     if status == "unbounded":
         return "unbounded", None
     return "optimal", extract()
+
+
+# The exact linear algebra that ``hcara.linear`` replaced with one integer
+# pivot: Bareiss rank and a Fraction Gauss-Jordan on the Gram system, kept
+# as references for ``rank``, ``solve_linear`` and ``vanishing_combination``.
+
+
+def bareiss_rank(vectors) -> int:
+    """Exact rank of a family of vectors via fraction-free (Bareiss) elimination."""
+    vectors = list(vectors)
+    if not vectors:
+        return 0
+    dim = len(vectors[0])
+    for v in vectors:
+        if len(v) != dim:
+            raise InputError("rank: all vectors must share one dimension")
+    m = [clear_denominators(v)[0] for v in vectors]
+    nrows = len(m)
+    row = 0
+    prev = 1
+    for col in range(dim):
+        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        for r in range(row + 1, nrows):
+            for c in range(col + 1, dim):
+                m[r][c] = (m[r][c] * m[row][col] - m[r][col] * m[row][c]) // prev
+            m[r][col] = 0
+        prev = m[row][col]
+        row += 1
+        if row == nrows:
+            break
+    return row
+
+
+def _gauss_any_solution(matrix: list[list[Fraction]], rhs: list[Fraction]):
+    """One exact solution of matrix * y = rhs with free variables set to 0,
+    or None if the system is inconsistent."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    aug = [list(matrix[i]) + [rhs[i]] for i in range(nrows)]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(nrows):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == nrows:
+            break
+    for r in range(row, nrows):
+        if aug[r][ncols] != 0:
+            return None
+    y = [Fraction(0)] * ncols
+    for r, c in pivots:
+        y[c] = aug[r][ncols]
+    return y
+
+
+def gram_solve_linear(rows, rhs) -> Vector | None:
+    """Solve the linear system ``rows . x = rhs`` exactly.
+
+    Returns None when inconsistent.  Underdetermined systems yield the unique
+    minimum-norm solution, i.e. the solution lying in the row space: with
+    G = A A^T we solve G y = rhs and return A^T y.
+    """
+    rows = [tuple(Fraction(c) for c in r) for r in rows]
+    rhs = [Fraction(b) for b in rhs]
+    if len(rows) != len(rhs):
+        raise InputError("solve_linear: one right-hand side per row required")
+    if not rows:
+        raise InputError("solve_linear: empty system has no defined dimension")
+    dim = len(rows[0])
+    for r in rows:
+        if len(r) != dim:
+            raise InputError("solve_linear: rows must share one dimension")
+    k = len(rows)
+    gram = [[dot(rows[i], rows[j]) for j in range(k)] for i in range(k)]
+    y = _gauss_any_solution(gram, rhs)
+    if y is None:
+        return None
+    x = [Fraction(0)] * dim
+    for i in range(k):
+        if y[i]:
+            for j in range(dim):
+                x[j] += y[i] * rows[i][j]
+    return tuple(x)
+
+
+def rank_then_solve_vanishing(vectors) -> Vector | None:
+    """``vanishing_combination`` as it was: the rank test, then lambda_0 = 1
+    and the rest solved from sum lambda_i s_i = 0 by ``gram_solve_linear``."""
+    vectors = list(vectors)
+    if not vectors or bareiss_rank(vectors) != len(vectors) - 1:
+        return None
+    first, rest = vectors[0], vectors[1:]
+    tail = gram_solve_linear(list(zip(*rest)), [-c for c in first]) if rest else ()
+    return None if tail is None else (Fraction(1),) + tail

@@ -1,9 +1,13 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bareiss_rank, gram_solve_linear, rank_then_solve_vanishing
 
+import hcara.linear
+import hcara.lp
 from hcara.errors import InputError
 from hcara.linear import (
     dot,
@@ -11,8 +15,10 @@ from hcara.linear import (
     rank,
     solve_linear,
     vadd,
+    vanishing_combination,
     vscale,
 )
+from hcara.lp import EQ, LE
 
 small_fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -21,6 +27,52 @@ small_fractions = st.fractions(
 
 def vectors(dim):
     return st.tuples(*([small_fractions] * dim))
+
+
+# Entries small enough to make zero and parallel rows collide, and large
+# enough to push the integer elimination far past machine words.
+entries = st.one_of(
+    small_fractions,
+    st.builds(lambda s, n: s * n, st.sampled_from((1, -1)), st.integers(2**64, 10**30)),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**9),
+)
+nonzero_entries = entries.filter(bool)
+
+
+@st.composite
+def families(draw, dim=None, min_size=1, max_size=5):
+    """Equal-dimension vectors: free draws, zero vectors, multiples of an
+    earlier vector and sums of two earlier ones."""
+    if dim is None:
+        dim = draw(st.integers(1, 4))
+    out = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        kind = draw(st.sampled_from(("free", "zero", "parallel", "sum")))
+        if kind == "zero":
+            v = (F(0),) * dim
+        elif kind == "parallel" and out:
+            v = vscale(draw(st.sampled_from(out)), draw(nonzero_entries))
+        elif kind == "sum" and out:
+            v = vadd(draw(st.sampled_from(out)), draw(st.sampled_from(out)))
+        else:
+            v = tuple(draw(entries) for _ in range(dim))
+        out.append(v)
+    return out
+
+
+@st.composite
+def systems(draw):
+    """(rows, rhs): consistent by construction, drawn freely (often
+    inconsistent once rows repeat), or a repeated row with a shifted rhs."""
+    rows = draw(families(max_size=4))
+    kind = draw(st.sampled_from(("consistent", "free", "contradiction")))
+    if kind == "consistent":
+        x = tuple(draw(entries) for _ in rows[0])
+        return rows, [dot(r, x) for r in rows]
+    rhs = [draw(entries) for _ in rows]
+    if kind == "contradiction":
+        rows, rhs = rows + [rows[0]], rhs + [rhs[0] + 1]
+    return rows, rhs
 
 
 class TestRank:
@@ -44,6 +96,15 @@ class TestRank:
         for v, c in zip(vs, coeffs):
             combo = vadd(combo, vscale(v, c))
         assert rank(vs + [combo]) == rank(vs)
+
+    def test_float_rejected(self):
+        with pytest.raises(InputError):
+            rank([(0.5, 1)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(families())
+    def test_agrees_with_bareiss(self, vs):
+        assert rank(vs) == bareiss_rank(vs)
 
 
 class TestSolveLinear:
@@ -76,6 +137,82 @@ class TestSolveLinear:
             assert dot(r, sol) == b
         # minimum-norm solutions lie in the row space
         assert rank(list(rows) + [sol]) == rank(rows)
+
+    def test_float_rejected(self):
+        with pytest.raises(InputError):
+            solve_linear([(1, 1)], [0.1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def test_agrees_with_fraction_gauss_jordan(self, system):
+        rows, rhs = system
+        assert solve_linear(rows, rhs) == gram_solve_linear(rows, rhs)
+
+
+class TestVanishingCombination:
+    def test_single_zero_vector(self):
+        assert vanishing_combination([(0, 0)]) == (1,)
+
+    def test_single_nonzero_vector(self):
+        assert vanishing_combination([(1, 0)]) is None
+
+    def test_kernel_inside_first_coordinate_zero(self):
+        assert vanishing_combination([(1, 0), (0, 1), (0, -1)]) is None
+
+    def test_rank_deficient(self):
+        assert vanishing_combination([(1, 0), (2, 0), (3, 0)]) is None
+
+    def test_line_normalized_to_first_coefficient(self):
+        assert vanishing_combination([(F(1, 2), 0), (0, 3), (-1, -1)]) == (
+            1, F(1, 6), F(1, 2),
+        )
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(InputError):
+            vanishing_combination([(1, 0), (1,)])
+
+    def test_float_rejected(self):
+        with pytest.raises(InputError):
+            vanishing_combination([(0.5, 1), (1, 2)])
+
+    @settings(max_examples=150, deadline=None)
+    # d + 1 vectors in dim d have rank d = |S| - 1 unless drawn dependent.
+    @given(st.one_of(families(), st.integers(1, 3).flatmap(
+        lambda d: families(dim=d, min_size=d + 1, max_size=d + 1)
+    )))
+    def test_agrees_with_rank_then_solve(self, vs):
+        assert vanishing_combination(vs) == rank_then_solve_vanishing(vs)
+
+
+def test_every_elimination_takes_linear_pivot(monkeypatch):
+    """Rank, linear solves, the conic-dependence table and both LP entry
+    points all reach ``linear.pivot``, so no second elimination loop hides
+    behind any of them.  The spy replaces ``pivot`` in every hcara module
+    that binds it."""
+    calls = []
+    original = hcara.linear.pivot
+
+    def spy(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hcara.") and getattr(module, "pivot", None) is original:
+            monkeypatch.setattr(module, "pivot", spy)
+    cases = {
+        "rank": lambda: hcara.linear.rank([(1, 2), (3, 4)]),
+        "solve_linear": lambda: hcara.linear.solve_linear([(1, 2), (3, 4)], [1, 1]),
+        "vanishing_combination": lambda: hcara.linear.vanishing_combination(
+            [(1, 0), (0, 1), (-1, -1)]
+        ),
+        "conic_dependences": lambda: hcara.linear.conic_dependences([(1, 0), (0, 1), (-1, -1)]),
+        "maximize": lambda: hcara.lp.maximize([((1, 1), LE, 2)], (1, 0), 2, nonneg=True),
+        "feasible_point": lambda: hcara.lp.feasible_point([((1, 1), EQ, 2)], 2),
+    }
+    for name, run in cases.items():
+        calls.clear()
+        run()
+        assert calls, f"{name} does not reach linear.pivot"
 
 
 class TestPrimitiveDirection:
