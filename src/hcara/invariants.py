@@ -18,7 +18,9 @@ from itertools import combinations
 
 from .errors import InputError, InternalConsistencyError
 from .hconvex import NormalSet
-from .linear import Vector, exact, is_zero_vector, rank, vanishing_combination, vsub
+from .linear import (
+    Vector, exact, exact_vectors, is_zero_vector, rank, vanishing_combination, vsub,
+)
 from .lp import EQ, GE, feasible_point
 
 __all__ = [
@@ -67,19 +69,9 @@ class InvariantReport:
         }
 
 
-def _same_dim(vectors):
-    vectors = [tuple(exact(c) for c in v) for v in vectors]
-    if vectors:
-        dim = len(vectors[0])
-        for v in vectors:
-            if len(v) != dim:
-                raise InputError("vectors must share one dimension")
-    return vectors
-
-
 def positive_hull_contains(S, a: Vector) -> bool:
     """True iff a is a nonnegative combination of S.  pos({}) = {0}."""
-    S = _same_dim(S)
+    S = exact_vectors(S, "positive_hull_contains")
     a = tuple(exact(c) for c in a)
     if not S:
         return is_zero_vector(a)
@@ -105,7 +97,7 @@ def is_simplex_with_origin(S) -> bool:
     A passing S is cross-checked to be affinely independent, which makes it
     the vertex set of a simplex with the origin in its relative interior.
     """
-    S = _same_dim(S)
+    S = exact_vectors(S, "is_simplex_with_origin")
     if not S:
         raise InputError("is_simplex_with_origin needs at least one vector")
     lam = vanishing_combination(S)
@@ -130,7 +122,7 @@ def _strictly_separable(S) -> bool:
 def is_conical_position(S) -> bool:
     """Strict set-level separation from the origin plus no member lying in the
     positive hull of the rest."""
-    S = _same_dim(S)
+    S = exact_vectors(S, "is_conical_position")
     if not S:
         raise InputError("is_conical_position needs at least one vector")
     for s in S:

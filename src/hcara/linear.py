@@ -31,7 +31,11 @@ def zero_vector(dim: int) -> Vector:
 def dot(a: Vector, b: Vector) -> Fraction:
     if len(a) != len(b):
         raise InputError(f"dimension mismatch in inner product: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    s = sum((x * y for x, y in zip(a, b)), Fraction(0))
+    # A float entry turns the whole sum into a float, so one check suffices.
+    if not isinstance(s, Fraction):
+        raise InputError(f"inner product {s!r} is not exact; pass ints or Fractions")
+    return s
 
 
 def vadd(a: Vector, b: Vector) -> Vector:
@@ -47,8 +51,8 @@ def vsub(a: Vector, b: Vector) -> Vector:
 
 
 def vscale(v: Vector, c) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in v)
+    c = exact(c)
+    return tuple(c * exact(x) for x in v)
 
 
 def vneg(v: Vector) -> Vector:
@@ -77,6 +81,7 @@ def primitive_direction(v: Vector) -> tuple[int, ...]:
     Two vectors are positive multiples of one another exactly when their
     primitive directions are equal.
     """
+    v = [exact(x) for x in v]
     if is_zero_vector(v):
         raise InputError("the zero vector has no direction")
     ints, _ = clear_denominators(v)
@@ -123,7 +128,7 @@ def _echelon(m, ncols) -> list[int]:
     return cols
 
 
-def _exact_vectors(vectors, what) -> list[Vector]:
+def exact_vectors(vectors, what) -> list[Vector]:
     """The vectors with every entry through :func:`exact`; InputError when
     their dimensions differ."""
     vectors = [tuple(exact(c) for c in v) for v in vectors]
@@ -135,7 +140,7 @@ def _exact_vectors(vectors, what) -> list[Vector]:
 def rank(vectors) -> int:
     """Exact rank of a family of vectors: the pivots of one fraction-free
     elimination."""
-    vectors = _exact_vectors(vectors, "rank")
+    vectors = exact_vectors(vectors, "rank")
     if not vectors:
         return 0
     return len(_echelon([clear_denominators(v)[0] for v in vectors], len(vectors[0])))
@@ -150,7 +155,7 @@ def solve_linear(rows, rhs) -> Vector | None:
     right-hand side are cleared of denominators together, so G, y's
     numerators and A^T y's numerators are all ints.
     """
-    rows = _exact_vectors(rows, "solve_linear")
+    rows = exact_vectors(rows, "solve_linear")
     rhs = [exact(b) for b in rhs]
     if len(rows) != len(rhs):
         raise InputError("solve_linear: one right-hand side per row required")
@@ -183,7 +188,7 @@ def vanishing_combination(vectors) -> Vector | None:
     free, and its kernel vector kappa has kappa_f = 1 and kappa_c =
     -m[r][f] / m[r][c] at the pivot c of row r.
     """
-    vectors = _exact_vectors(vectors, "vanishing_combination")
+    vectors = exact_vectors(vectors, "vanishing_combination")
     n = len(vectors)
     if not n:
         return None
@@ -228,7 +233,7 @@ def conic_dependences(vectors):
     lam < 0 everywhere is the circuit B + {i}.  Every entry is checked by
     substitution.
     """
-    vectors = _exact_vectors(vectors, "conic_dependences")
+    vectors = exact_vectors(vectors, "conic_dependences")
     if not vectors:
         return (), ()
     dim = len(vectors[0])

@@ -1,11 +1,14 @@
 """Exact linear programming: two-phase primal simplex with Bland's rule.
 
-The simplex pivots on an integer tableau with ``linear.pivot``, the step
-every exact elimination in hcara takes: every row, the z-row included, is
-a positive integer multiple of its true rational row, and the row's own
-basic entry is its denominator.  Inputs arrive as ints or fractions.Fraction
-and witnesses leave as Fraction, so feasibility and optimality are decided
-with zero tolerance and no Fraction arithmetic inside the pivot loop.  Bland's
+The simplex pivots on one integer tableau with ``linear.pivot``, the step
+every exact elimination in hcara takes.  The phase-1 row and the phase-2 cost
+row are ordinary bottom rows of that tableau, so one step updates constraints
+and objectives alike: every row is a positive integer multiple of its true
+rational row, and a constraint row's basic entry is its denominator.  Inputs
+arrive as ints or fractions.Fraction.  A witness is checked by substitution
+into the input rows cleared of denominators, in ints, and only then leaves as
+Fractions, so feasibility and optimality are decided with zero tolerance and
+no Fraction arithmetic between the input check and the outcome.  Bland's
 least-index rule for both the entering and leaving variable guarantees
 termination without any numerical safeguards.
 
@@ -21,9 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputError, InternalConsistencyError
-from .linear import Vector, clear_denominators, dot, exact, pivot, reduced_row
-
-_Q0 = Fraction(0)
+from .linear import Vector, clear_denominators, exact, pivot, reduced_row
 
 LE = "<="
 EQ = "="
@@ -85,26 +86,20 @@ class LpOutcome:
     value: Fraction | None = None
 
 
-def _pivot(T, z, basis, pr, pc):
-    """Pivot on (pr, pc): :func:`linear.pivot` on the rows, the same step on
-    the z-row, and pc enters the basis in row pr."""
-    prow = pivot(T, pr, pc)
-    f = z[pc]
-    if f:
-        z[:] = reduced_row([a * prow[pc] - f * b for a, b in zip(z, prow)])
-    basis[pr] = pc
+def _primal(T, basis, ncols):
+    """Run primal simplex on the int tableau T until optimal or unbounded.
 
-
-def _primal(T, z, basis, ncols):
-    """Run primal simplex until optimal or unbounded.
-
-    Entering candidates are the first ``ncols`` columns; Bland's rule picks the
-    least index with a positive reduced cost, ties in the ratio test break on
-    the least basis variable index.  A row's ratio rhs/a does not depend on the
-    row's scale, so candidates are compared by cross-multiplication.
+    The first ``len(basis)`` rows of T are the constraints; T[-1] is the
+    objective row being maximized, and every row of T, objective rows
+    included, takes each :func:`linear.pivot`.  Entering candidates are the
+    first ``ncols`` columns; Bland's rule picks the least index with a
+    positive reduced cost, ties in the ratio test break on the least basis
+    variable index.  A row's ratio rhs/a does not depend on the row's scale,
+    so candidates are compared by cross-multiplication.
     """
-    rhs = len(z) - 1
+    rhs = ncols
     while True:
+        z = T[-1]
         pc = -1
         for j in range(ncols):
             if z[j] > 0:
@@ -113,10 +108,10 @@ def _primal(T, z, basis, ncols):
         if pc < 0:
             return "optimal"
         pr = -1
-        for i, row in enumerate(T):
-            a = row[pc]
+        for i in range(len(basis)):
+            a = T[i][pc]
             if a > 0:
-                b = row[rhs]
+                b = T[i][rhs]
                 if pr >= 0:
                     cmp = b * best_a - best_b * a
                     if cmp > 0 or (cmp == 0 and basis[i] > best_var):
@@ -124,132 +119,123 @@ def _primal(T, z, basis, ncols):
                 pr, best_b, best_a, best_var = i, b, a, basis[i]
         if pr < 0:
             return "unbounded"
-        _pivot(T, z, basis, pr, pc)
+        pivot(T, pr, pc)
+        basis[pr] = pc
 
 
-def _simplex(num_vars, rows, objective, nonneg):
-    """Core solver.  Returns (status string, witness tuple or None).
+def _simplex(num_vars, rows, objective, nonneg) -> LpOutcome:
+    """Core solver on checked rows: the outcome of maximizing ``objective``,
+    or of the feasibility question alone when it is None.
 
     When ``nonneg`` is False the variables are free and get split into
     positive/negative parts; when True every variable is constrained >= 0 and
     used directly.
 
-    The tableau holds ints only.  Each row is a positive multiple of its true
-    row, so a basic variable's value is the row's rhs over the row's entry in
-    that variable's column, and the z-row is a positive multiple of the true
-    reduced costs, read by sign.  The artificial columns are never priced or
-    read, so they are not stored; an artificial stays in ``basis`` as its
-    index ``ncols + r``.
+    The tableau T holds ints only: the constraint rows, then the cost row
+    when there is an objective, then the phase-1 row.  Each row is a positive
+    multiple of its true row, so a basic variable's value is the row's rhs
+    over the row's entry in that variable's column, and an objective row is a
+    positive multiple of the true reduced costs, read by sign.  Under the
+    starting artificial basis the phase-2 reduced costs are the costs, so the
+    cost row enters T as the cleared objective and rides through phase 1.
+    The artificial columns are never priced or read, so they are not stored;
+    an artificial stays in ``basis`` as its index ``ncols + r``.
+
+    A witness is checked by substitution into the cleared input rows, which
+    no pivot touches, in ints over one common denominator d of the basic
+    entries; Fractions are built only for the witness and the value.
     """
     base = num_vars if nonneg else 2 * num_vars
     ineq_rows = [r for r, (_, rel, _) in enumerate(rows) if rel != EQ]
     slack_of = {r: base + k for k, r in enumerate(ineq_rows)}
-    ncols = base + len(ineq_rows)
-    art0 = rhs_ix = ncols
+    ncols = rhs_ix = base + len(ineq_rows)
 
+    def tableau_row(ints):
+        """Cleared coefficients and rhs spread over the tableau's columns."""
+        row = [0] * (ncols + 1)
+        row[:num_vars] = ints[:num_vars]
+        if not nonneg:
+            row[num_vars:base] = [-c for c in ints[:num_vars]]
+        row[rhs_ix] = ints[num_vars]
+        return row
+
+    cleared = [clear_denominators(coeffs + (rhs,)) for coeffs, _, rhs in rows]
     T = []
-    scales = []
-    for r, (coeffs, rel, rhs) in enumerate(rows):
-        ints, scale = clear_denominators(coeffs + (rhs,))
-        row = [0] * (rhs_ix + 1)
-        for j, c in enumerate(ints[:-1]):
-            if c:
-                row[j] = c
-                if not nonneg:
-                    row[num_vars + j] = -c
-        if rel != EQ:
-            row[slack_of[r]] = scale if rel == LE else -scale
-        row[rhs_ix] = ints[-1]
+    for r, (ints, scale) in enumerate(cleared):
+        row = tableau_row(ints)
+        if r in slack_of:
+            row[slack_of[r]] = scale if rows[r][1] == LE else -scale
         if ints[-1] < 0:
             row = [-v for v in row]
         T.append(row)
-        scales.append(scale)
-    basis = [art0 + r for r in range(len(rows))]
+    basis = [ncols + r for r in range(len(rows))]
 
-    # Phase 1: maximize -(sum of artificials); with the artificial basis the
+    # Phase 1 maximizes -(sum of artificials); with the artificial basis the
     # reduced cost of structural column j is the column sum of the true rows.
-    # The z-row keeps the NEGATED objective value in the rhs cell so pivoting
+    # An objective row keeps its NEGATED value in the rhs cell, so pivoting
     # updates it like any other row.
-    common = lcm(*scales)
-    z = [0] * (rhs_ix + 1)
-    for row, scale in zip(T, scales):
+    common = lcm(*(scale for _, scale in cleared))
+    phase1 = [0] * (rhs_ix + 1)
+    for row, (_, scale) in zip(T, cleared):
         k = common // scale
         for j, v in enumerate(row):
             if v:
-                z[j] += k * v
+                phase1[j] += k * v
     T = [reduced_row(row) for row in T]
-    z = reduced_row(z)
-    status = _primal(T, z, basis, ncols)
-    if status == "unbounded":
+    if objective is not None:
+        cost, cost_scale = clear_denominators(objective)
+        T.append(tableau_row(cost + [0]))
+    T.append(reduced_row(phase1))
+    if _primal(T, basis, ncols) == "unbounded":
         raise InternalConsistencyError("phase-1 objective cannot be unbounded")
-    if z[rhs_ix] != 0:
-        return "infeasible", None
+    if T.pop()[rhs_ix] != 0:
+        return LpOutcome(LpStatus.INFEASIBLE)
 
     # Drive leftover artificials out of the basis; a row with no structural
     # pivot left is redundant and gets dropped.
     drop = []
-    for i in range(len(T)):
-        if basis[i] >= art0:
+    for i in range(len(basis)):
+        if basis[i] >= ncols:
             pc = next((j for j in range(ncols) if T[i][j]), None)
             if pc is None:
                 drop.append(i)
             else:
-                _pivot(T, z, basis, i, pc)
+                pivot(T, i, pc)
+                basis[i] = pc
     for i in reversed(drop):
         del T[i]
         del basis[i]
 
-    def extract():
-        vals = [_Q0] * base
-        for i, b in enumerate(basis):
-            if b < base:
-                vals[b] = Fraction(T[i][rhs_ix], T[i][b])
-        if nonneg:
-            return tuple(vals)
-        return tuple(vals[j] - vals[num_vars + j] for j in range(num_vars))
-
-    if objective is None:
-        return "feasible", extract()
-
-    # Phase 2: reduced costs cost - sum over rows of cost[basis] * true row.
-    ints, _ = clear_denominators(objective)
-    cost = [0] * (rhs_ix + 1)
-    for j, c in enumerate(ints):
-        if c:
-            cost[j] = c
-            if not nonneg:
-                cost[num_vars + j] = -c
-    common = lcm(*(T[i][b] for i, b in enumerate(basis) if cost[b]))
-    z = [c * common for c in cost]
-    for i, b in enumerate(basis):
-        if cost[b]:
-            k = cost[b] * (common // T[i][b])
-            z = [a - k * v for a, v in zip(z, T[i])]
-    z = reduced_row(z)
-    status = _primal(T, z, basis, ncols)
-    if status == "unbounded":
-        return "unbounded", None
-    return "optimal", extract()
-
-
-def _solve(rows, objective, num_vars, nonneg) -> LpOutcome:
-    """Check and coerce the input, run the simplex and verify any witness
-    against every row by exact substitution before building the outcome."""
-    rows, objective = _checked(rows, objective, num_vars)
-    status, witness = _simplex(num_vars, rows, objective, nonneg)
-    if status == "infeasible":
-        return LpOutcome(LpStatus.INFEASIBLE)
-    if status == "unbounded":
+    if objective is not None and _primal(T, basis, ncols) == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
-    for coeffs, rel, rhs in rows:
-        v = dot(coeffs, witness)
-        if not (v <= rhs if rel == LE else v >= rhs if rel == GE else v == rhs):
+
+    # x_j = X_j / d, the free variables as positive minus negative part.
+    d = lcm(*(T[i][b] for i, b in enumerate(basis) if b < base))
+    X = [0] * base
+    for i, b in enumerate(basis):
+        if b < base:
+            X[b] = T[i][rhs_ix] * (d // T[i][b])
+    if not nonneg:
+        X = [p - n for p, n in zip(X[:num_vars], X[num_vars:])]
+    for (ints, _), (coeffs, rel, rhs) in zip(cleared, rows):
+        v = sum(c * x for c, x in zip(ints[:num_vars], X))
+        b = ints[num_vars] * d
+        if not (v <= b if rel == LE else v >= b if rel == GE else v == b):
             raise InternalConsistencyError(
                 f"simplex witness violates row {coeffs} {rel} {rhs}"
             )
+    witness = tuple(Fraction(x, d) for x in X)
     if objective is None:
         return LpOutcome(LpStatus.FEASIBLE, witness)
-    return LpOutcome(LpStatus.OPTIMAL, witness, dot(objective, witness))
+    value = Fraction(sum(c * x for c, x in zip(cost, X)), d * cost_scale)
+    return LpOutcome(LpStatus.OPTIMAL, witness, value)
+
+
+def _solve(rows, objective, num_vars, nonneg) -> LpOutcome:
+    """Check and coerce the input, then run the simplex, which verifies any
+    witness against every row by exact substitution."""
+    rows, objective = _checked(rows, objective, num_vars)
+    return _simplex(num_vars, rows, objective, nonneg)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:

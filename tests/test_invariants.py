@@ -72,6 +72,10 @@ class TestPositiveHull:
         assert positive_hull_contains([], (F(0), F(0)))
         assert not positive_hull_contains([], (F(1), F(0)))
 
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(InputError, match="share one dimension"):
+            positive_hull_contains([(F(1), F(0)), (F(1),)], (F(1), F(0)))
+
 
 class TestSimplexWithOrigin:
     def test_opposite_pair(self):
@@ -93,6 +97,10 @@ class TestSimplexWithOrigin:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             is_simplex_with_origin([])
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(InputError, match="share one dimension"):
+            is_simplex_with_origin([(F(1), F(0)), (F(-1),)])
 
     def test_zero_vectors(self):
         zero, v = (F(0), F(0)), (F(1), F(2))
@@ -143,6 +151,10 @@ class TestConicalPosition:
     def test_zero_vector_rejected(self):
         with pytest.raises(InputError):
             is_conical_position([(F(0), F(0))])
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(InputError, match="share one dimension"):
+            is_conical_position([(F(1), F(0)), (F(0), F(1), F(0))])
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(nonzero_vectors(2), min_size=2, max_size=4))

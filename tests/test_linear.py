@@ -215,6 +215,24 @@ def test_every_elimination_takes_linear_pivot(monkeypatch):
         assert calls, f"{name} does not reach linear.pivot"
 
 
+class TestFloatsRejected:
+    def test_dot(self):
+        with pytest.raises(InputError):
+            dot((1,), (0.1,))
+        with pytest.raises(InputError):
+            dot((0.5, F(1)), (F(2), 1))
+
+    def test_vscale(self):
+        with pytest.raises(InputError):
+            vscale((F(1),), 0.1)
+        with pytest.raises(InputError):
+            vscale((0.1,), 1)
+
+    def test_primitive_direction(self):
+        with pytest.raises(InputError):
+            primitive_direction((0.5, 1))
+
+
 class TestPrimitiveDirection:
     def test_positive_multiples_collapse(self):
         assert primitive_direction((F(1, 2), F(3, 4))) == primitive_direction(

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import fraction_simplex
 
-from hcara.errors import InputError
+import hcara.lp
+from hcara.errors import InputError, InternalConsistencyError
 from hcara.linear import dot
 from hcara.lp import (
     EQ,
@@ -305,3 +306,21 @@ class TestKernel:
         for objective in [(1, 1, 1, 1), (1, -2, 3, -4)]:
             assert_matches_fraction_kernel(4, boxed, objective, True)
         assert maximize(boxed, (1, 1, 1, 1), 4, nonneg=True).status is LpStatus.OPTIMAL
+
+    def test_witness_check_catches_a_corrupted_tableau(self, monkeypatch):
+        # Every pivot leaves its row's rhs one too high, so the tableau no
+        # longer describes the input; the substitution check reads the
+        # cleared input rows, not the tableau, and must see it.
+        real = hcara.lp.pivot
+
+        def corrupting(rows, r, c):
+            prow = real(rows, r, c)
+            rows[r][-1] += 1
+            return prow
+
+        monkeypatch.setattr(hcara.lp, "pivot", corrupting)
+        rows = [((1, 1), EQ, 2), ((1, -1), EQ, 0)]
+        with pytest.raises(InternalConsistencyError, match="violates row"):
+            feasible_point(rows, 2)
+        with pytest.raises(InternalConsistencyError, match="violates row"):
+            maximize(rows, (1, 0), 2)
