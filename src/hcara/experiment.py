@@ -17,7 +17,6 @@ Reports carry the full instance serialization so any record can be replayed.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -26,9 +25,7 @@ from .errors import InputError, PreconditionError, SamplingError
 from .hconvex import NormalSet, PointSet, h_hull_contains
 from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
-from .linear import (
-    Vector, conic_dependences, dot, primitive_direction, vadd, vscale, zero_vector,
-)
+from .linear import Vector, conic_dependences, dot, vadd, vscale, zero_vector
 from .shapes import cube_polytope
 from .strong import (
     Polytope,
@@ -119,16 +116,13 @@ def _rand_nonzero_vector(rng, dim, bound) -> Vector:
             return v
 
 
-def _ray_exit_scale(K: Polytope, direction: Vector) -> Fraction | None:
-    """Largest alpha with alpha * direction inside K (K must contain 0)."""
-    best = None
-    for a, b in zip(K.normals, K.offsets):
-        d = dot(a, direction)
-        if d > 0:
-            alpha = b / d
-            if best is None or alpha < best:
-                best = alpha
-    return best
+def _ray_exit_scale(K: Polytope, direction: Vector) -> Fraction:
+    """Largest alpha with alpha * direction inside K (K must contain 0).
+
+    K is bounded, so some facet normal has a positive product with any
+    nonzero direction, and the minimum is over a nonempty set."""
+    rows = ((dot(a, direction), b) for a, b in zip(K.normals, K.offsets))
+    return min(b / d for d, b in rows if d > 0)
 
 
 def random_instance(config: ExperimentConfig, trial_index: int):
@@ -143,16 +137,10 @@ def random_instance(config: ExperimentConfig, trial_index: int):
     dim, cb = config.dim, config.coordinate_bound
     for _ in range(_REJECTION_BUDGET):
         m = rng.randint(dim + 1, config.max_normals)
-        normals = []
-        seen = set()
-        for _ in range(m):
-            v = _rand_nonzero_vector(rng, dim, cb)
-            # one row per direction: parallel rows could doubly represent a
-            # facet, and simultaneous redundancy pruning would drop both
-            key = primitive_direction(v)
-            if key not in seen:
-                seen.add(key)
-                normals.append(v)
+        draws = [_rand_nonzero_vector(rng, dim, cb) for _ in range(m)]
+        # one row per direction: parallel rows could doubly represent a
+        # facet, and simultaneous redundancy pruning would drop both
+        normals = list(NormalSet(dim, draws).normals)
         table = conic_dependences(normals)
         if not spans_positively(normals, dim, table):
             continue
@@ -161,8 +149,6 @@ def random_instance(config: ExperimentConfig, trial_index: int):
         for i in sorted(redundant_rows(offsets, table), reverse=True):
             del normals[i]
             del offsets[i]
-        if len(normals) < dim + 1:
-            continue
         K = Polytope(dim, tuple(normals), tuple(offsets))
 
         count = rng.randint(1, config.max_points)
@@ -172,15 +158,11 @@ def random_instance(config: ExperimentConfig, trial_index: int):
         for _ in range(count):
             direction = _rand_nonzero_vector(rng, dim, cb)
             alpha = _ray_exit_scale(K, direction)
-            if alpha is None:
-                continue
             r = Fraction(rng.randint(0, cb), cb)
             p = vadd(vscale(direction, r * alpha), shift)
             if p not in seen_pts:
                 seen_pts.add(p)
                 points.append(p)
-        if not points:
-            continue
         return K, PointSet(dim, tuple(points))
     raise SamplingError(
         f"no admissible instance for trial {trial_index} within "
@@ -412,6 +394,8 @@ def run_suite(config: ExperimentConfig, parallel: bool = False) -> dict:
     """
     indices = range(config.trials)
     if parallel:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             records = list(pool.map(_trial_worker, [(config, i) for i in indices]))
     else:

@@ -23,11 +23,7 @@ def _e(dim, j, sign=1):
 
 def cube_normals(n: int) -> NormalSet:
     """Outer normals of [0, 1]^n, ordered e1, -e1, e2, -e2, ..."""
-    normals = []
-    for j in range(n):
-        normals.append(_e(n, j, 1))
-        normals.append(_e(n, j, -1))
-    return NormalSet(n, tuple(normals))
+    return cube_polytope(n).normal_set()
 
 
 @cache
@@ -43,10 +39,9 @@ def cube_polytope(n: int) -> Polytope:
 
 
 def simplex_normals(n: int) -> NormalSet:
-    """Outer normals of the standard simplex {x >= 0, sum x <= 1}."""
-    normals = [_e(n, j, -1) for j in range(n)]
-    normals.append((F(1),) * n)
-    return NormalSet(n, tuple(normals))
+    """Outer normals of the standard simplex {x >= 0, sum x <= 1}: -e1, ...,
+    -en, then (1, ..., 1)."""
+    return simplex_polytope(n).normal_set()
 
 
 def simplex_polytope(n: int, scale: int = 2) -> Polytope:
@@ -93,9 +88,7 @@ _PYRAMID_ROWS = {
 def pyramid_normals(m: int) -> NormalSet:
     """Normals of a pyramid in R^3 over an m-gon base (m in {4, 5, 6});
     the m slanted facets come first, the base normal last."""
-    if m not in _PYRAMID_ROWS:
-        raise ValueError(f"no pyramid with base size {m}")
-    return NormalSet(3, tuple(a for a, _ in _PYRAMID_ROWS[m]))
+    return pyramid_polytope(m).normal_set()
 
 
 def pyramid_polytope(m: int, scale: int = 4) -> Polytope:
@@ -109,10 +102,7 @@ def pyramid_polytope(m: int, scale: int = 4) -> Polytope:
 
 def simplex_with_extra_facet_normals(n: int) -> NormalSet:
     """Standard simplex normals plus the opposite of its slanted facet."""
-    normals = [_e(n, j, -1) for j in range(n)]
-    normals.append((F(1),) * n)
-    normals.append((F(-1),) * n)
-    return NormalSet(n, tuple(normals))
+    return simplex_with_extra_facet_polytope(n).normal_set()
 
 
 def simplex_with_extra_facet_polytope(n: int) -> Polytope:
@@ -127,7 +117,7 @@ def simplex_with_extra_facet_polytope(n: int) -> Polytope:
 
 
 def triangle_normals() -> NormalSet:
-    return NormalSet(2, ((F(-1), F(0)), (F(0), F(-1)), (F(1), F(1))))
+    return triangle_polytope().normal_set()
 
 
 def triangle_polytope() -> Polytope:

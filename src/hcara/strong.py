@@ -39,7 +39,7 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import Vector, conic_dependences, dot, exact, is_zero_vector, rank, vneg
+from .linear import Vector, conic_dependences, dot, exact, rank, vneg
 from .lp import GE, LpStatus, feasible_point, maximize
 
 __all__ = [
@@ -93,11 +93,13 @@ def redundant_rows(offsets, table) -> list[int]:
 class Polytope:
     """Bounded full-dimensional polytope {x : <a_i, x> <= b_i}.
 
-    Construction reads three checks off the conic-dependence table of the
-    normals, with no LP: bounded (``spans_positively``), nonempty interior
+    The normals are checked by the ``NormalSet`` rules.  Construction then
+    reads three checks off the conic-dependence table of the rows as given,
+    with no LP: bounded (``spans_positively``), nonempty interior
     (<mu_S, b_S> > 0 for every circuit S, by Gordan), and every row a facet
-    (``redundant_rows``), in that order.  Facet count therefore equals the
-    size of the collapsed normal set.
+    (``redundant_rows``), in that order.  Every row being a facet, no two
+    normals are positive multiples, so the normal set H of K, built once and
+    handed out by ``normal_set()``, keeps K's normals and indices.
     """
 
     dim: int
@@ -113,11 +115,7 @@ class Polytope:
             raise InputError("one offset per normal required")
         if len(normals) < self.dim + 1:
             raise InputError("a bounded polytope needs at least dim + 1 facets")
-        for a in normals:
-            if len(a) != self.dim:
-                raise InputError("facet normal with wrong dimension")
-            if is_zero_vector(a):
-                raise InputError("zero vector cannot be a facet normal")
+        H = NormalSet(self.dim, normals)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
         table = self.conic_dependences
@@ -128,6 +126,8 @@ class Polytope:
         bad = redundant_rows(offsets, table)
         if bad:
             raise InputError(f"rows {bad} are redundant, not facets")
+        # not a field, so equality and hashing ignore it, as for the table
+        object.__setattr__(self, "_normal_set", H)
 
     def __len__(self):
         return len(self.normals)
@@ -139,7 +139,8 @@ class Polytope:
         return conic_dependences(self.normals)
 
     def normal_set(self) -> NormalSet:
-        return NormalSet(self.dim, self.normals)
+        """The normal set H of K, the same object on every call."""
+        return self._normal_set
 
     def contains(self, p: Vector) -> bool:
         return all(dot(a, p) <= b for a, b in zip(self.normals, self.offsets))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from hcara.experiment import (
     random_instance,
     recheck_instance,
     run_suite,
+    run_trial,
 )
 from hcara.jsonio import dump_canonical
 from hcara.shapes import cube_polytope, pyramid_polytope, simplex_polytope
@@ -151,3 +154,20 @@ class TestSuite:
         report = run_suite(ExperimentConfig(seed=3, trials=2, dim=3, scaling_depth=1))
         doc = dump_canonical(report)
         assert json.loads(doc)["summary"]["trials"] == 2
+
+
+def test_seed42_trial_digest():
+    """Trial records 0..15 of the ``trial-d2`` benchmark config hash, as the
+    benchmark hashes them, to the digest stored beside the benchmark."""
+    stored = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text()
+    )["trial-d2"]
+    assert (stored["seed"], stored["ops"]) == (42, 16)
+    config = ExperimentConfig(
+        seed=42, trials=1, dim=2, max_normals=5, max_points=4,
+        coordinate_bound=3, scaling_depth=3,
+    )
+    sha = hashlib.sha256()
+    for i in range(16):
+        sha.update(dump_canonical(run_trial(config, i)).encode())
+    assert sha.hexdigest() == stored["sha256"]

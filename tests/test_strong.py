@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -17,14 +18,18 @@ import hcara.lp
 import hcara.strong
 from hcara.errors import InputError, PreconditionError
 from hcara.experiment import ExperimentConfig, random_instance
-from hcara.hconvex import PointSet, h_hull_contains, support
+from hcara.hconvex import NormalSet, PointSet, h_hull_contains, support
 from hcara.invariants import caratheodory_number
 from hcara.linear import conic_dependences, dot, vadd, vneg, vscale
 from hcara.lp import maximize
 from hcara.shapes import (
+    cube_normals,
     cube_polytope,
+    pyramid_normals,
     pyramid_polytope,
     simplex_normals,
+    simplex_with_extra_facet_normals,
+    triangle_normals,
     triangle_polytope,
 )
 from hcara.strong import (
@@ -96,6 +101,64 @@ class TestPolytopeInvariants:
         K = Polytope(2, CUBE2.normals, CUBE2.offsets)
         assert K.conic_dependences == CUBE2.conic_dependences
         assert K == CUBE2 and hash(K) == hash(CUBE2)
+        # the stored normal sets are distinct objects, yet equality and
+        # hashing see only the fields
+        assert K.normal_set() is not CUBE2.normal_set()
+        assert K.normal_set() == CUBE2.normal_set()
+        assert {f.name for f in fields(Polytope)} == {"dim", "normals", "offsets"}
+
+    def test_normal_set_is_stored_once(self):
+        K = pyramid_polytope(5)
+        H = K.normal_set()
+        assert H is K.normal_set()
+        assert H.normals == K.normals and H.dim == K.dim
+
+    @pytest.mark.parametrize(
+        "bad_normal,match",
+        [
+            ((F(0), F(0)), "zero vector"),
+            ((F(1), F(1), F(1)), "dimension 3, expected 2"),
+            ((F(1),), "dimension 1, expected 2"),
+        ],
+    )
+    def test_normals_checked_by_normal_set_rules(self, bad_normal, match):
+        with pytest.raises(InputError, match=match):
+            Polytope(
+                2,
+                ((F(-1), F(0)), (F(0), F(-1)), bad_normal),
+                (F(0), F(0), F(2)),
+            )
+
+    @pytest.mark.parametrize(
+        "derived,normals",
+        [
+            (cube_normals(2), ((1, 0), (-1, 0), (0, 1), (0, -1))),
+            (simplex_normals(2), ((-1, 0), (0, -1), (1, 1))),
+            (
+                simplex_with_extra_facet_normals(2),
+                ((-1, 0), (0, -1), (1, 1), (-1, -1)),
+            ),
+            (triangle_normals(), ((-1, 0), (0, -1), (1, 1))),
+            (
+                pyramid_normals(4),
+                ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (0, 0, -1)),
+            ),
+            (
+                pyramid_normals(5),
+                ((0, -1, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (0, 0, -1)),
+            ),
+            (
+                pyramid_normals(6),
+                (
+                    (0, -2, 3), (2, 0, 3), (1, 1, 2), (0, 2, 3),
+                    (-2, 0, 3), (-1, -1, 2), (0, 0, -1),
+                ),
+            ),
+        ],
+    )
+    def test_derived_normal_sets_keep_their_order(self, derived, normals):
+        expected = NormalSet(len(normals[0]), normals)
+        assert derived == expected
 
 
 def _lp_verdict(dim, normals, offsets):
