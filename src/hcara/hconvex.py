@@ -69,6 +69,20 @@ class NormalSet:
     def __iter__(self):
         return iter(self.normals)
 
+    def checked_indices(self, indices) -> tuple[int, ...]:
+        """``indices`` as a tuple; InputError unless they are distinct and
+        each is an int, not a bool, that indexes a normal."""
+        try:
+            idx = tuple(indices)
+        except TypeError:
+            raise InputError(f"normal indices {indices!r} are not a sequence") from None
+        for i in idx:
+            if type(i) is not int or not 0 <= i < len(self.normals):
+                raise InputError(f"normal index {i!r} out of range")
+        if len(set(idx)) != len(idx):
+            raise InputError("normal indices must be distinct")
+        return idx
+
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -156,7 +170,7 @@ class ExclusionAssignment:
 
     @classmethod
     def build(cls, H: NormalSet, X: PointSet, by_point) -> "ExclusionAssignment":
-        by_point = tuple(by_point)
+        by_point = H.checked_indices(by_point)
         if len(by_point) != len(X):
             raise InputError("assignment must cover every point")
         for j, i in enumerate(by_point):

@@ -2,7 +2,8 @@
 
 * Helly number: largest subset forming the vertex set of a simplex whose
   relative interior contains the origin (equivalently, a minimal positively
-  dependent subset).
+  dependent subset): the largest circuit of the conic-dependence table
+  ``linear.conic_dependences``.
 * Cone number: largest subset in conical position whose positive hull avoids
   every remaining normal.
 * Caratheodory number: the maximum of the two.
@@ -14,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InputError, InternalConsistencyError
 from .hconvex import NormalSet
 from .linear import (
-    Vector, exact, exact_vectors, is_zero_vector, rank, vanishing_combination, vsub,
+    Vector, conic_dependences, exact, exact_vectors, is_zero_vector, rank, vsub,
 )
 from .lp import EQ, GE, feasible_point
 
@@ -88,11 +88,12 @@ def positive_hull_contains(S, a: Vector) -> bool:
 def is_simplex_with_origin(S) -> bool:
     """True iff S is minimally positively dependent: some strictly positive
     combination of all of S vanishes, and no proper subset has a nonzero
-    nonnegative vanishing combination.
+    nonnegative vanishing combination.  ``[0]`` qualifies; any other S that
+    holds the zero vector does not.
 
-    Decided by exact linear algebra, without an LP: S is minimally positively
-    dependent exactly when its vanishing combinations form a line (rank
-    |S| - 1) spanned by a strictly positive vector.
+    Decided without an LP: S qualifies exactly when all of S is the last
+    circuit of its conic-dependence table.  A circuit has at most dim + 1
+    members, so a larger S fails without building a table.
 
     A passing S is cross-checked to be affinely independent, which makes it
     the vertex set of a simplex with the origin in its relative interior.
@@ -100,8 +101,12 @@ def is_simplex_with_origin(S) -> bool:
     S = exact_vectors(S, "is_simplex_with_origin")
     if not S:
         raise InputError("is_simplex_with_origin needs at least one vector")
-    lam = vanishing_combination(S)
-    if lam is None or any(c <= 0 for c in lam):
+    if any(is_zero_vector(s) for s in S):
+        return len(S) == 1
+    if len(S) > len(S[0]) + 1:
+        return False
+    circuits, _ = conic_dependences(S)
+    if not circuits or circuits[-1][0] != tuple(range(len(S))):
         return False
     diffs = [vsub(s, S[0]) for s in S[1:]]
     if rank(diffs) != len(S) - 1:
@@ -137,19 +142,15 @@ def is_conical_position(S) -> bool:
 
 
 def helly_number(H: NormalSet) -> tuple[int, tuple[int, ...]]:
-    """Largest minimal positively dependent subset, with its index witness.
-
-    Minimal positive dependences are affinely independent, so the search is
-    capped at dim + 1 vectors.  Returns (0, ()) for a one-sided H.
+    """Largest minimal positively dependent subset, with its index witness:
+    the first circuit of the largest size in H's conic-dependence table, in
+    its (size, lexicographic) order.  Returns (0, ()) for a one-sided H.
     """
-    n = len(H.normals)
-    best = (0, ())
-    for k in range(2, min(H.dim + 1, n) + 1):
-        for idx in combinations(range(n), k):
-            if is_simplex_with_origin([H.normals[i] for i in idx]):
-                best = (k, idx)
-                break
-    return best
+    circuits, _ = conic_dependences(H.normals)
+    if not circuits:
+        return (0, ())
+    k = len(circuits[-1][0])
+    return (k, next(S for S, _ in circuits if len(S) == k))
 
 
 def _conical_levels(H: NormalSet) -> list[list[tuple[int, ...]]]:

@@ -8,7 +8,6 @@ cleared of denominators, with one Gauss-Jordan step, :func:`pivot`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 
 from .errors import InputError, InternalConsistencyError
@@ -17,11 +16,16 @@ Vector = tuple[Fraction, ...]
 
 
 def exact(value) -> Fraction:
-    """``value`` as a Fraction; InputError for a float, whose binary value is
-    almost never the number that was meant."""
+    """``value`` as a Fraction; InputError for anything but an int or a
+    Fraction.  A float's binary value is almost never the number that was
+    meant, and a bool, a string or a sequence is not a coordinate."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, float):
         raise InputError(f"float {value!r} is not exact; pass an int or a Fraction")
-    return value if type(value) is Fraction else Fraction(value)
+    raise InputError(f"{value!r} is not a number; pass an int or a Fraction")
 
 
 def zero_vector(dim: int) -> Vector:
@@ -178,39 +182,6 @@ def solve_linear(rows, rhs) -> Vector | None:
     return tuple(Fraction(v, d) for v in x)
 
 
-def vanishing_combination(vectors) -> Vector | None:
-    """The lambda with lambda_0 = 1 and sum lambda_i s_i = 0 when the vanishing
-    combinations of the vectors form a line (rank |S| - 1) that does not lie
-    in lambda_0 = 0; None otherwise.
-
-    One elimination of the coordinate rows, whose columns are the vectors
-    cleared of denominators: the line is there exactly when one column f is
-    free, and its kernel vector kappa has kappa_f = 1 and kappa_c =
-    -m[r][f] / m[r][c] at the pivot c of row r.
-    """
-    vectors = exact_vectors(vectors, "vanishing_combination")
-    n = len(vectors)
-    if not n:
-        return None
-    cleared = [clear_denominators(v) for v in vectors]
-    m = [list(row) for row in zip(*(ints for ints, _ in cleared))]
-    cols = _echelon(m, n)
-    if len(cols) != n - 1:
-        return None
-    (f,) = set(range(n)).difference(cols)
-    # kappa over the common denominator d of its pivot entries.
-    d = lcm(*(m[r][c] for r, c in enumerate(cols)))
-    kappa = [0] * n
-    kappa[f] = d
-    for r, c in enumerate(cols):
-        kappa[c] = -m[r][f] * (d // m[r][c])
-    if not kappa[0]:
-        return None
-    # Column i is s_i a_i for the scale s_i of a_i, so lambda_i ~ kappa_i s_i.
-    lam0 = kappa[0] * cleared[0][1]
-    return tuple(Fraction(kv * s, lam0) for kv, (_, s) in zip(kappa, cleared))
-
-
 def conic_dependences(vectors):
     """The conic-dependence table ``(circuits, reps)`` of nonzero vectors
     a_0, ..., a_{m-1} in R^d, as tuples, so a cached table can be shared.
@@ -230,8 +201,9 @@ def conic_dependences(vectors):
     each B extends its prefix's fraction-free Gauss-Jordan elimination of the
     d x m matrix whose columns are all the a_j.  Every a_i in the span of B is
     then a right-hand side solved for free: lam > 0 is a representation of i,
-    lam < 0 everywhere is the circuit B + {i}.  Every entry is checked by
-    substitution.
+    lam < 0 everywhere is the circuit B + {i}.  The signs are read off the
+    int elimination, so only accepted entries become Fractions, and every
+    entry is checked by substitution in ints.
     """
     vectors = exact_vectors(vectors, "conic_dependences")
     if not vectors:
@@ -250,21 +222,27 @@ def conic_dependences(vectors):
         for i in range(m):
             if i in B or any(M[r][i] for r in range(k, dim)):
                 continue
-            # Column i is a_i in the basis B: lam'_r = M[r][i] / M[r][B[r]]
-            # for the cleared vectors, whose pivots M[r][B[r]] are positive.
-            lam = [
-                Fraction(M[r][i] * scale[j], M[r][j] * scale[i])
-                for r, j in enumerate(B)
-            ]
-            if all(x > 0 for x in lam):
-                reps[i].append((B, tuple(lam)))
-            elif all(x < 0 for x in lam):
-                mu = dict(zip(B, (-x for x in lam)))
-                mu[i] = Fraction(1)
-                S = tuple(sorted(mu))
+            # Column i is a_i in the basis B: with s the denominator scales,
+            # a_i = sum_r (M[r][i] s_j / (M[r][j] s_i)) a_j for j = B[r], and
+            # the pivots M[r][j] are positive, so each sign is M[r][i]'s.
+            col = [M[r][i] for r in range(k)]
+            if all(x > 0 for x in col):
+                lam = tuple(
+                    Fraction(x * scale[j], M[r][j] * scale[i])
+                    for r, (j, x) in enumerate(zip(B, col))
+                )
+                reps[i].append((B, lam))
+            elif all(x < 0 for x in col):
+                S = tuple(sorted(B + (i,)))
                 if S not in circuits:
-                    ints, _ = clear_denominators([mu[j] for j in S])
-                    circuits[S] = tuple(reduced_row(ints))
+                    # mu = (-lam, 1) times d s_i, d the lcm of the pivots
+                    d = lcm(*(M[r][j] for r, j in enumerate(B)))
+                    mu = {
+                        j: -x * scale[j] * (d // M[r][j])
+                        for r, (j, x) in enumerate(zip(B, col))
+                    }
+                    mu[i] = d * scale[i]
+                    circuits[S] = tuple(reduced_row([mu[j] for j in S]))
         if k == dim:
             return
         for c in range(B[-1] + 1 if B else 0, m):
@@ -277,17 +255,22 @@ def conic_dependences(vectors):
 
     visit([list(row) for row in zip(*(ints for ints, _ in cleared))], ())
 
+    # Each a_j times the lcm of all the scales, so that every entry is
+    # checked by substitution in ints.
+    common = lcm(*scale)
+    W = [[x * (common // s) for x in ints] for ints, s in cleared]
+
     def combination(indices, coeffs):
-        terms = (vscale(vectors[j], x) for j, x in zip(indices, coeffs))
-        return reduce(vadd, terms, zero_vector(dim))
+        return [sum(c * W[j][t] for j, c in zip(indices, coeffs)) for t in range(dim)]
 
     for S, mu in circuits.items():
-        if combination(S, mu) != zero_vector(dim):
+        if any(combination(S, mu)):
             raise InternalConsistencyError(f"circuit {S} does not vanish")
     for i, entries in enumerate(reps):
         entries.sort(key=lambda e: (e[0] != (i,), len(e[0]), e[0]))
         for B, lam in entries:
-            if combination(B, lam) != vectors[i]:
+            nums, den = clear_denominators(lam)
+            if combination(B, nums) != [den * x for x in W[i]]:
                 raise InternalConsistencyError(f"representation {B} of {i} is wrong")
     ordered = sorted(circuits.items(), key=lambda e: (len(e[0]), e[0]))
     return tuple(ordered), tuple(tuple(entries) for entries in reps)

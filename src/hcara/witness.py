@@ -22,8 +22,7 @@ from .hconvex import (
     covering_holds,
     excluding_holds,
 )
-from .invariants import is_simplex_with_origin
-from .linear import dot, primitive_direction, solve_linear, vanishing_combination, vscale
+from .linear import conic_dependences, dot, solve_linear, vscale
 from .lp import EQ, LE, feasible_point
 
 __all__ = [
@@ -71,32 +70,25 @@ def _drop_one_ok(H: NormalSet, X: PointSet) -> bool:
     )
 
 
-def _checked_indices(H: NormalSet, B) -> tuple[int, ...]:
-    idx = tuple(B)
-    if len(set(idx)) != len(idx):
-        raise InputError("witness indices must be distinct")
-    for i in idx:
-        if not isinstance(i, int) or i < 0 or i >= len(H.normals):
-            raise InputError(f"normal index {i!r} out of range")
-    return idx
-
-
 def helly_witness_points(H: NormalSet, B) -> WitnessReport:
     """Witness points for a maximal simplex-with-origin subset B.
 
-    The normals of B are rescaled so they sum to zero; each point x_i is the
-    unique vector in the span of B with <a_j, x_i> = -1 for all j != i, which
-    forces <a_i, x_i> = |B| - 1 and sum x_i = 0.
+    B qualifies when all of B is the last circuit of the conic-dependence
+    table of its normals.  They are rescaled by that circuit's mu so they sum
+    to zero; each point x_i is the unique vector in the span of B with
+    <a_j, x_i> = -1 for all j != i, which forces <a_i, x_i> = |B| - 1 and
+    sum x_i = 0.
     """
-    idx = _checked_indices(H, B)
+    idx = H.checked_indices(B)
     S = [H.normals[i] for i in idx]
     k = len(S)
     if k < 2:
         raise InputError("a simplex-with-origin witness needs at least 2 normals")
-    if not is_simplex_with_origin(S):
+    # Circuits have at most dim + 1 members, so a larger B builds no table.
+    circuits = conic_dependences(S)[0] if k <= H.dim + 1 else ()
+    if not circuits or circuits[-1][0] != tuple(range(k)):
         raise InputError("B is not minimally positively dependent")
-    # the positive vanishing combination of S in primitive integers
-    lam = primitive_direction(vanishing_combination(S))
+    lam = circuits[-1][1]
     scaled = [vscale(S[i], lam[i]) for i in range(k)]
     points = []
     for i in range(k):
@@ -134,7 +126,7 @@ def cone_witness_points(H: NormalSet, B) -> WitnessReport:
     over all of H is what certifies that B realizes the cone number; a
     covering failure is reported as a not-maximal-witness error.
     """
-    idx = _checked_indices(H, B)
+    idx = H.checked_indices(B)
     if not idx:
         raise InputError("a cone witness needs at least one normal")
     S = [H.normals[i] for i in idx]

@@ -6,20 +6,17 @@ LP kernel on a Fraction tableau, frozen as the reference for the integer one;
 ``lp_minimal_strong_witness`` is the minimal strong witness searched with the
 facet LPs, and ``lp_interior_slack`` and ``lp_redundant_rows`` are the
 ``Polytope`` construction checks as LPs, the references for the
-conic-dependence table.  ``bareiss_rank``, ``gram_solve_linear`` and
-``rank_then_solve_vanishing`` are the linear algebra that
-``hcara.linear.pivot`` replaced.
+conic-dependence table.  ``bareiss_rank`` and ``gram_solve_linear`` are the
+linear algebra that ``hcara.linear.pivot`` replaced.  ``brute_helly`` tests
+each subset with the LP definition, ``brute_simplex_with_origin``, so it
+shares no code with the conic-dependence table that ``helly_number`` reads.
 """
 from fractions import Fraction
 from itertools import combinations
 
 from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.hconvex import PointSet
-from hcara.invariants import (
-    is_conical_position,
-    is_simplex_with_origin,
-    positive_hull_contains,
-)
+from hcara.invariants import is_conical_position, positive_hull_contains
 from hcara.linear import Vector, clear_denominators, dot
 from hcara.lp import EQ, LE, LpStatus, feasible_point, maximize
 from hcara.strong import Polytope, _member_with_supports, strong_hull_contains
@@ -36,7 +33,7 @@ def all_subsets(n):
 def brute_helly(H):
     best = (0, ())
     for idx in all_subsets(len(H.normals)):
-        if is_simplex_with_origin([H.normals[i] for i in idx]):
+        if brute_simplex_with_origin([H.normals[i] for i in idx]):
             if len(idx) > best[0]:
                 best = (len(idx), idx)
     return best
@@ -345,7 +342,7 @@ def fraction_simplex(num_vars, rows, objective, nonneg):
 
 # The exact linear algebra that ``hcara.linear`` replaced with one integer
 # pivot: Bareiss rank and a Fraction Gauss-Jordan on the Gram system, kept
-# as references for ``rank``, ``solve_linear`` and ``vanishing_combination``.
+# as references for ``rank`` and ``solve_linear``.
 
 
 def bareiss_rank(vectors) -> int:
@@ -437,14 +434,3 @@ def gram_solve_linear(rows, rhs) -> Vector | None:
             for j in range(dim):
                 x[j] += y[i] * rows[i][j]
     return tuple(x)
-
-
-def rank_then_solve_vanishing(vectors) -> Vector | None:
-    """``vanishing_combination`` as it was: the rank test, then lambda_0 = 1
-    and the rest solved from sum lambda_i s_i = 0 by ``gram_solve_linear``."""
-    vectors = list(vectors)
-    if not vectors or bareiss_rank(vectors) != len(vectors) - 1:
-        return None
-    first, rest = vectors[0], vectors[1:]
-    tail = gram_solve_linear(list(zip(*rest)), [-c for c in first]) if rest else ()
-    return None if tail is None else (Fraction(1),) + tail

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hcara.errors import InputError, PreconditionError
 from hcara.hconvex import (
+    ExclusionAssignment,
     NormalSet,
     PointSet,
     covering_holds,
@@ -71,6 +72,30 @@ class TestConstruction:
         X = PointSet(2, ((F(0), F(0)),))
         with pytest.raises(InputError, match="float"):
             h_hull_contains(BOX, X, (0.5, 0))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NormalSet(2, (("1", 0), (0, 1))),
+            lambda: NormalSet(2, ((True, 0),)),
+            lambda: PointSet(2, ("ab",)),
+            lambda: PointSet(2, (((1,), 0),)),
+            lambda: h_hull_contains(BOX, PointSet(2, ((0, 0),)), ("x",)),
+        ],
+        ids=["string-normal", "bool-normal", "string-point", "nested-point", "string-query"],
+    )
+    def test_non_numbers_rejected(self, build):
+        # only ints and Fractions are coordinates; Fraction() would parse a
+        # string, take a bool as 0 or 1 and raise TypeError on a tuple
+        with pytest.raises(InputError, match="not a number"):
+            build()
+
+    def test_assignment_index_out_of_range_rejected(self):
+        X = PointSet(2, ((F(1), F(0)),))
+        with pytest.raises(InputError, match="out of range"):
+            ExclusionAssignment.build(BOX, X, [5])
+        with pytest.raises(InputError, match="out of range"):
+            ExclusionAssignment.build(BOX, X, [True])
 
 
 class TestSupport:

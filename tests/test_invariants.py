@@ -120,6 +120,16 @@ class TestSimplexWithOrigin:
         assert not is_simplex_with_origin([(F(1), F(0)), (F(0), F(1)), (F(1), F(1))])
         assert not is_simplex_with_origin(list(pyramid_normals(4).normals))
 
+    def test_more_than_dim_plus_one_vectors_fail_without_a_table(self, monkeypatch):
+        import hcara.invariants
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("too many vectors to be a circuit; build no table")
+
+        monkeypatch.setattr(hcara.invariants, "conic_dependences", no_table)
+        S = [(i % 3 - 1, i % 5 - 2, i % 7 - 3, 1 - 2 * (i % 2)) for i in range(40)]
+        assert not is_simplex_with_origin(S)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from((2, 3)).flatmap(dependence_candidates))
     def test_agrees_with_lp_definition(self, S):
@@ -274,3 +284,15 @@ class TestAgainstBruteForce:
             assert helly_number(H) == brute_helly(H)
             assert cone_number(H)[0] == brute_cone(H)[0]
             assert relaxed_cone_number(H) == brute_relaxed_cone(H)
+
+    def test_helly_needs_no_subset_test(self, monkeypatch, corpus_normal_sets):
+        """The Helly number comes off the conic-dependence table alone, and
+        the LP oracle agrees with it, witness included."""
+        import hcara.invariants
+
+        def no_subset_test(*args, **kwargs):
+            raise AssertionError("helly_number must read the table, not test subsets")
+
+        monkeypatch.setattr(hcara.invariants, "is_simplex_with_origin", no_subset_test)
+        for name, H in corpus_normal_sets:
+            assert helly_number(H) == brute_helly(H), name

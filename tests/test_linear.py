@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bareiss_rank, gram_solve_linear, rank_then_solve_vanishing
+from oracles import bareiss_rank, gram_solve_linear
 
 import hcara.linear
 import hcara.lp
@@ -15,7 +15,6 @@ from hcara.linear import (
     rank,
     solve_linear,
     vadd,
-    vanishing_combination,
     vscale,
 )
 from hcara.lp import EQ, LE
@@ -149,41 +148,6 @@ class TestSolveLinear:
         assert solve_linear(rows, rhs) == gram_solve_linear(rows, rhs)
 
 
-class TestVanishingCombination:
-    def test_single_zero_vector(self):
-        assert vanishing_combination([(0, 0)]) == (1,)
-
-    def test_single_nonzero_vector(self):
-        assert vanishing_combination([(1, 0)]) is None
-
-    def test_kernel_inside_first_coordinate_zero(self):
-        assert vanishing_combination([(1, 0), (0, 1), (0, -1)]) is None
-
-    def test_rank_deficient(self):
-        assert vanishing_combination([(1, 0), (2, 0), (3, 0)]) is None
-
-    def test_line_normalized_to_first_coefficient(self):
-        assert vanishing_combination([(F(1, 2), 0), (0, 3), (-1, -1)]) == (
-            1, F(1, 6), F(1, 2),
-        )
-
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(InputError):
-            vanishing_combination([(1, 0), (1,)])
-
-    def test_float_rejected(self):
-        with pytest.raises(InputError):
-            vanishing_combination([(0.5, 1), (1, 2)])
-
-    @settings(max_examples=150, deadline=None)
-    # d + 1 vectors in dim d have rank d = |S| - 1 unless drawn dependent.
-    @given(st.one_of(families(), st.integers(1, 3).flatmap(
-        lambda d: families(dim=d, min_size=d + 1, max_size=d + 1)
-    )))
-    def test_agrees_with_rank_then_solve(self, vs):
-        assert vanishing_combination(vs) == rank_then_solve_vanishing(vs)
-
-
 def test_every_elimination_takes_linear_pivot(monkeypatch):
     """Rank, linear solves, the conic-dependence table and both LP entry
     points all reach ``linear.pivot``, so no second elimination loop hides
@@ -202,9 +166,6 @@ def test_every_elimination_takes_linear_pivot(monkeypatch):
     cases = {
         "rank": lambda: hcara.linear.rank([(1, 2), (3, 4)]),
         "solve_linear": lambda: hcara.linear.solve_linear([(1, 2), (3, 4)], [1, 1]),
-        "vanishing_combination": lambda: hcara.linear.vanishing_combination(
-            [(1, 0), (0, 1), (-1, -1)]
-        ),
         "conic_dependences": lambda: hcara.linear.conic_dependences([(1, 0), (0, 1), (-1, -1)]),
         "maximize": lambda: hcara.lp.maximize([((1, 1), LE, 2)], (1, 0), 2, nonneg=True),
         "feasible_point": lambda: hcara.lp.feasible_point([((1, 1), EQ, 2)], 2),

@@ -97,6 +97,12 @@ class TestPolytopeInvariants:
         with pytest.raises(InputError, match="float"):
             Polytope(2, ((F(1), F(0)), (F(0), F(1)), (-1, -1)), (F(1), F(1), 0.5))
 
+    def test_non_numbers_rejected(self):
+        with pytest.raises(InputError, match="not a number"):
+            Polytope(2, (("a", 0), (0, 1), (-1, -1)), (1, 1, 1))
+        with pytest.raises(InputError, match="not a number"):
+            Polytope(2, ((1, 0), (0, 1), (-1, -1)), (1, (1,), 1))
+
     def test_table_is_not_a_field(self):
         K = Polytope(2, CUBE2.normals, CUBE2.offsets)
         assert K.conic_dependences == CUBE2.conic_dependences

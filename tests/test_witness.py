@@ -1,9 +1,15 @@
+import hashlib
+import json
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from hcara.errors import InputError, NotMaximalWitnessError
 from hcara.hconvex import NormalSet, PointSet, covering_holds, minimal_h_witness
+from hcara.invariants import caratheodory_number
+from hcara.jsonio import dump_canonical
 from hcara.linear import dot
 from hcara.shapes import cube_normals, pyramid_normals, triangle_normals
 from hcara.witness import (
@@ -52,6 +58,17 @@ class TestHellyWitness:
     def test_too_small_rejected(self):
         with pytest.raises(InputError):
             helly_witness_points(BOX, (0,))
+
+    def test_more_than_dim_plus_one_rejected(self):
+        with pytest.raises(InputError, match="not minimally positively dependent"):
+            helly_witness_points(BOX, (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("B", [None, 3, [False, True], [0, 1.0]])
+    def test_non_index_sequences_rejected(self, B):
+        with pytest.raises(InputError):
+            helly_witness_points(BOX, B)
+        with pytest.raises(InputError):
+            cone_witness_points(BOX, B)
 
 
 class TestConeWitness:
@@ -139,3 +156,41 @@ class TestCrossModuleConsistency:
         rep = cone_witness_points(cube_normals(3), (0, 2, 4))
         for j in range(len(rep.points)):
             assert not covering_holds(cube_normals(3), rep.points.drop(j))
+
+
+def _bench_normal_set(rng):
+    """A normal set drawn by the rule of the ``normal-sets`` benchmark
+    workload: dim 3, 6 to 9 nonzero normals with coordinates p/q, |p| <= 3,
+    q <= 3 (the target count is drawn afresh on every pass)."""
+    normals = []
+    while len(normals) < rng.randint(6, 9) or not normals:
+        v = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        if any(v):
+            normals.append(v)
+    return NormalSet(3, tuple(normals))
+
+
+def test_seed42_normal_sets_digest():
+    """Records 0..15 of the ``normal-sets`` benchmark workload at seed 42 hash,
+    as the benchmark hashes them, to the digest stored beside the benchmark.
+    The Helly witness points scale with the circuit's mu, so this pins mu."""
+    stored = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text()
+    )["normal-sets"]
+    assert (stored["seed"], stored["ops"]) == (42, 16)
+    sha = hashlib.sha256()
+    for i in range(16):
+        H = _bench_normal_set(random.Random(42 * 2**32 + i))
+        report = caratheodory_number(H)
+        if report.helly >= report.cone:
+            built = helly_witness_points(H, report.helly_witness)
+        else:
+            built = cone_witness_points(H, report.cone_witness)
+        record = {
+            "normals": H.to_json(),
+            "invariants": report.to_json(),
+            "witness": built.to_json(),
+            "validation": validate_witness(H, built.points, built.kind).to_json(),
+        }
+        sha.update(dump_canonical(record).encode())
+    assert sha.hexdigest() == stored["sha256"]
