@@ -28,6 +28,7 @@ __all__ = [
     "h_hull_contains",
     "covering_holds",
     "excluding_holds",
+    "point_set_verdicts",
     "minimal_h_witness",
 ]
 
@@ -128,12 +129,6 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def drop(self, index: int) -> "PointSet":
-        return PointSet(
-            self.dim,
-            self.points[:index] + self.points[index + 1:],
-        )
-
     def subset(self, indices) -> "PointSet":
         return PointSet(self.dim, tuple(self.points[i] for i in indices))
 
@@ -212,35 +207,46 @@ def h_hull_contains(H: NormalSet, X: PointSet, p: Vector) -> bool:
     return True
 
 
+def point_set_verdicts(
+    H: NormalSet, X: PointSet
+) -> tuple[bool, bool, ExclusionAssignment | None]:
+    """``(covering, drop_one, assignment)`` of X under H, read off one sign
+    matrix rows[i][j] = (<a_i, x_j> >= 0), each row kept as the indices j
+    where it is True.
+
+    X covers when no row is all False.  Dropping x_j uncovers exactly when
+    some row is True at j at most, and drop-one holds when that is so for
+    every j.  The exclusive normal of x_j is the least row True at j alone;
+    the assignment is None when some point has none.  Drop-one is its own
+    verdict: a non-covering X is drop-one minimal with or without an
+    assignment.
+    """
+    _check_joint(H, X)
+    rows = [
+        tuple(j for j, x in enumerate(X.points) if dot(a, x) >= 0)
+        for a in H.normals
+    ]
+    points = range(len(X.points))
+    covering = all(rows)
+    drop_one = all(any(row in ((), (j,)) for row in rows) for j in points)
+    chosen = [
+        next((i for i, row in enumerate(rows) if row == (j,)), None) for j in points
+    ]
+    assignment = None if None in chosen else ExclusionAssignment.build(H, X, chosen)
+    return covering, drop_one, assignment
+
+
 def covering_holds(H: NormalSet, X: PointSet) -> bool:
     """True iff every normal sees some point nonnegatively, i.e. the origin
     lies in the restricted hull of X.  An empty X covers nothing."""
-    _check_joint(H, X)
-    return all(
-        any(dot(a, x) >= 0 for x in X.points) for a in H.normals
-    )
+    return point_set_verdicts(H, X)[0]
 
 
 def excluding_holds(H: NormalSet, X: PointSet) -> ExclusionAssignment | None:
     """Assign to each point a normal that sees it nonnegatively and every
     other point strictly negatively; None when no such normal exists for some
     point.  Per point, the least qualifying normal index is chosen."""
-    _check_joint(H, X)
-    chosen = []
-    for j, x in enumerate(X.points):
-        found = None
-        for i, a in enumerate(H.normals):
-            if dot(a, x) < 0:
-                continue
-            if all(
-                dot(a, y) < 0 for jj, y in enumerate(X.points) if jj != j
-            ):
-                found = i
-                break
-        if found is None:
-            return None
-        chosen.append(found)
-    return ExclusionAssignment.build(H, X, chosen)
+    return point_set_verdicts(H, X)[2]
 
 
 def minimal_h_witness(H: NormalSet, X: PointSet, p: Vector) -> PointSet:

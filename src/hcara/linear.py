@@ -35,11 +35,7 @@ def zero_vector(dim: int) -> Vector:
 def dot(a: Vector, b: Vector) -> Fraction:
     if len(a) != len(b):
         raise InputError(f"dimension mismatch in inner product: {len(a)} vs {len(b)}")
-    s = sum((x * y for x, y in zip(a, b)), Fraction(0))
-    # A float entry turns the whole sum into a float, so one check suffices.
-    if not isinstance(s, Fraction):
-        raise InputError(f"inner product {s!r} is not exact; pass ints or Fractions")
-    return s
+    return sum((exact(x) * exact(y) for x, y in zip(a, b)), Fraction(0))
 
 
 def vadd(a: Vector, b: Vector) -> Vector:

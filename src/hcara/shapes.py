@@ -44,11 +44,12 @@ def simplex_normals(n: int) -> NormalSet:
     return simplex_polytope(n).normal_set()
 
 
-def simplex_polytope(n: int, scale: int = 2) -> Polytope:
+def simplex_polytope(n: int) -> Polytope:
+    """{x >= 0, sum x <= 2}: the standard simplex scaled by 2."""
     normals = [_e(n, j, -1) for j in range(n)]
     offsets = [F(0)] * n
     normals.append((F(1),) * n)
-    offsets.append(F(scale))
+    offsets.append(F(2))
     return Polytope(n, tuple(normals), tuple(offsets))
 
 
@@ -91,12 +92,12 @@ def pyramid_normals(m: int) -> NormalSet:
     return pyramid_polytope(m).normal_set()
 
 
-def pyramid_polytope(m: int, scale: int = 4) -> Polytope:
-    """The pyramid itself, scaled up so it has a roomy interior."""
+def pyramid_polytope(m: int) -> Polytope:
+    """The pyramid itself, scaled up by 4 so it has a roomy interior."""
     if m not in _PYRAMID_ROWS:
         raise ValueError(f"no pyramid with base size {m}")
     normals = tuple(a for a, _ in _PYRAMID_ROWS[m])
-    offsets = tuple(b * scale for _, b in _PYRAMID_ROWS[m])
+    offsets = tuple(b * 4 for _, b in _PYRAMID_ROWS[m])
     return Polytope(3, normals, offsets)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .hconvex import NormalSet, PointSet, h_hull_contains, support
@@ -99,7 +98,9 @@ class Polytope:
     (<mu_S, b_S> > 0 for every circuit S, by Gordan), and every row a facet
     (``redundant_rows``), in that order.  Every row being a facet, no two
     normals are positive multiples, so the normal set H of K, built once and
-    handed out by ``normal_set()``, keeps K's normals and indices.
+    handed out by ``normal_set()``, keeps K's normals and indices.  The table,
+    ``linear.conic_dependences`` of the facet normals, stays on K as the
+    attribute ``conic_dependences``.
     """
 
     dim: int
@@ -118,7 +119,7 @@ class Polytope:
         H = NormalSet(self.dim, normals)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-        table = self.conic_dependences
+        table = conic_dependences(normals)
         if not spans_positively(normals, self.dim, table):
             raise InputError("polytope is unbounded: normals do not span positively")
         if any(_weighted(S, mu, offsets) <= 0 for S, mu in table[0]):
@@ -126,17 +127,12 @@ class Polytope:
         bad = redundant_rows(offsets, table)
         if bad:
             raise InputError(f"rows {bad} are redundant, not facets")
-        # not a field, so equality and hashing ignore it, as for the table
+        # not fields, so equality and hashing ignore them
+        object.__setattr__(self, "conic_dependences", table)
         object.__setattr__(self, "_normal_set", H)
 
     def __len__(self):
         return len(self.normals)
-
-    @cached_property
-    def conic_dependences(self):
-        """``linear.conic_dependences`` of the facet normals, built on first
-        use; not a field, so equality and hashing ignore it."""
-        return conic_dependences(self.normals)
 
     def normal_set(self) -> NormalSet:
         """The normal set H of K, the same object on every call."""

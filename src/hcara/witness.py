@@ -3,6 +3,9 @@
 Both constructions produce a point set X whose restricted hull contains the
 origin while every drop-one subset's hull does not, which certifies that no
 smaller witness can work, i.e. the Caratheodory number is at least |X|.
+One evaluation, ``hconvex.point_set_verdicts``, judges a point set: its
+covering, drop-one and exclusion verdicts all come from a single sign matrix
+of <a, x> over the normals and the points.
 """
 from __future__ import annotations
 
@@ -15,13 +18,7 @@ from .errors import (
     NotMaximalWitnessError,
     PreconditionError,
 )
-from .hconvex import (
-    ExclusionAssignment,
-    NormalSet,
-    PointSet,
-    covering_holds,
-    excluding_holds,
-)
+from .hconvex import ExclusionAssignment, NormalSet, PointSet, point_set_verdicts
 from .linear import conic_dependences, dot, solve_linear, vscale
 from .lp import EQ, LE, feasible_point
 
@@ -64,10 +61,9 @@ class WitnessReport:
         }
 
 
-def _drop_one_ok(H: NormalSet, X: PointSet) -> bool:
-    return all(
-        not covering_holds(H, X.drop(j)) for j in range(len(X))
-    )
+def _report(H: NormalSet, X: PointSet, kind, normals_used) -> WitnessReport:
+    covering, drop_one, assignment = point_set_verdicts(H, X)
+    return WitnessReport(kind, normals_used, X, covering, drop_one, assignment)
 
 
 def helly_witness_points(H: NormalSet, B) -> WitnessReport:
@@ -102,19 +98,10 @@ def helly_witness_points(H: NormalSet, B) -> WitnessReport:
     total = tuple(sum(col, Fraction(0)) for col in zip(*points))
     if any(c != 0 for c in total):
         raise InternalConsistencyError("witness points must sum to zero")
-    X = PointSet(H.dim, tuple(points))
-    covering = covering_holds(H, X)
-    drop_one = _drop_one_ok(H, X)
-    if not (covering and drop_one):
+    report = _report(H, PointSet(H.dim, tuple(points)), HELLY, idx)
+    if not report.valid:
         raise InternalConsistencyError("constructed witness failed validation")
-    return WitnessReport(
-        kind=HELLY,
-        normals_used=idx,
-        points=X,
-        covering_ok=True,
-        drop_one_ok=True,
-        assignment=excluding_holds(H, X),
-    )
+    return report
 
 
 def cone_witness_points(H: NormalSet, B) -> WitnessReport:
@@ -139,22 +126,15 @@ def cone_witness_points(H: NormalSet, B) -> WitnessReport:
         if x is None:
             raise PreconditionError("B is not in conical position")
         points.append(x)
-    X = PointSet(H.dim, tuple(points))
-    if not covering_holds(H, X):
+    report = _report(H, PointSet(H.dim, tuple(points)), CONE, idx)
+    if not report.covering_ok:
         raise NotMaximalWitnessError(
             "constructed points do not cover every normal; "
             "B does not realize the cone number"
         )
-    if not _drop_one_ok(H, X):
+    if not report.drop_one_ok:
         raise InternalConsistencyError("cone witness must be drop-one minimal")
-    return WitnessReport(
-        kind=CONE,
-        normals_used=idx,
-        points=X,
-        covering_ok=True,
-        drop_one_ok=True,
-        assignment=excluding_holds(H, X),
-    )
+    return report
 
 
 def validate_witness(H: NormalSet, X: PointSet, kind: str = UNSPECIFIED) -> WitnessReport:
@@ -162,11 +142,4 @@ def validate_witness(H: NormalSet, X: PointSet, kind: str = UNSPECIFIED) -> Witn
     and extract the exclusion assignment when one exists."""
     if kind not in (HELLY, CONE, UNSPECIFIED):
         raise InputError(f"unknown witness kind {kind!r}")
-    return WitnessReport(
-        kind=kind,
-        normals_used=(),
-        points=X,
-        covering_ok=covering_holds(H, X),
-        drop_one_ok=_drop_one_ok(H, X),
-        assignment=excluding_holds(H, X),
-    )
+    return _report(H, X, kind, ())

@@ -10,6 +10,8 @@ conic-dependence table.  ``bareiss_rank`` and ``gram_solve_linear`` are the
 linear algebra that ``hcara.linear.pivot`` replaced.  ``brute_helly`` tests
 each subset with the LP definition, ``brute_simplex_with_origin``, so it
 shares no code with the conic-dependence table that ``helly_number`` reads.
+``brute_point_set_verdicts`` judges a point set by the three definitions that
+``hconvex.point_set_verdicts`` reads off one sign matrix.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -88,6 +90,36 @@ def brute_simplex_with_origin(S):
         if feasible_point(rows, len(sub), nonneg=True) is not None:
             return False
     return True
+
+
+def brute_point_set_verdicts(H, X):
+    """``(covering, drop_one, assignment)`` of X under H from ``dot`` alone,
+    each verdict by its own definition: X covers when every normal sees some
+    point nonnegatively; drop-one holds when X without x_j covers for no j;
+    the assignment lists, per point, the least normal that sees it and no
+    other point nonnegatively, and is None when some point has none."""
+    points = X.points
+
+    def covers(subset):
+        return all(any(dot(a, x) >= 0 for x in subset) for a in H.normals)
+
+    covering = covers(points)
+    drop_one = all(
+        not covers(points[:j] + points[j + 1:]) for j in range(len(points))
+    )
+    chosen = []
+    for j, x in enumerate(points):
+        found = None
+        for i, a in enumerate(H.normals):
+            if dot(a, x) >= 0 and all(
+                dot(a, y) < 0 for jj, y in enumerate(points) if jj != j
+            ):
+                found = i
+                break
+        if found is None:
+            return covering, drop_one, None
+        chosen.append(found)
+    return covering, drop_one, tuple(chosen)
 
 
 def brute_spans_positively(normals, dim):

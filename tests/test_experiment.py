@@ -156,18 +156,23 @@ class TestSuite:
         assert json.loads(doc)["summary"]["trials"] == 2
 
 
-def test_seed42_trial_digest():
-    """Trial records 0..15 of the ``trial-d2`` benchmark config hash, as the
+@pytest.mark.parametrize(
+    "workload,ops,dim,max_normals",
+    [("trial-d2", 16, 2, 5), ("trial-d3", 8, 3, 6)],
+    ids=["trial-d2", "trial-d3"],
+)
+def test_seed42_trial_digest(workload, ops, dim, max_normals):
+    """The first trial records of a trial benchmark config hash, as the
     benchmark hashes them, to the digest stored beside the benchmark."""
     stored = json.loads(
         (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text()
-    )["trial-d2"]
-    assert (stored["seed"], stored["ops"]) == (42, 16)
+    )[workload]
+    assert (stored["seed"], stored["ops"]) == (42, ops)
     config = ExperimentConfig(
-        seed=42, trials=1, dim=2, max_normals=5, max_points=4,
+        seed=42, trials=1, dim=dim, max_normals=max_normals, max_points=4,
         coordinate_bound=3, scaling_depth=3,
     )
     sha = hashlib.sha256()
-    for i in range(16):
+    for i in range(ops):
         sha.update(dump_canonical(run_trial(config, i)).encode())
     assert sha.hexdigest() == stored["sha256"]

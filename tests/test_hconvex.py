@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import brute_point_set_verdicts
 
 from hcara.errors import InputError, PreconditionError
 from hcara.hconvex import (
@@ -16,6 +17,7 @@ from hcara.hconvex import (
     support,
 )
 from hcara.shapes import cube_normals
+from hcara.witness import validate_witness
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -34,9 +36,21 @@ def point_sets(dim, max_points=4):
     )
 
 
-def normal_sets(dim, max_normals=5):
-    return st.lists(nonzero_vectors(dim), min_size=1, max_size=max_normals).map(
-        lambda vs: NormalSet(dim, tuple(vs))
+def normal_sets(dim, max_normals=5, min_normals=1):
+    return st.lists(
+        nonzero_vectors(dim), min_size=min_normals, max_size=max_normals
+    ).map(lambda vs: NormalSet(dim, tuple(vs)))
+
+
+def normal_and_point_sets():
+    """An H of 0 to 5 normals and an X of 0 to 5 points, in dim 2 or 3."""
+    return st.integers(2, 3).flatmap(
+        lambda dim: st.tuples(
+            normal_sets(dim, min_normals=0),
+            st.lists(vectors(dim), max_size=5, unique=True).map(
+                lambda pts: PointSet(dim, tuple(pts))
+            ),
+        )
     )
 
 
@@ -176,6 +190,24 @@ class TestExcluding:
             return
         origin = (F(0), F(0))
         assert minimal_h_witness(H, X, origin) == X
+
+
+class TestVerdicts:
+    @settings(max_examples=150, deadline=None)
+    @given(normal_and_point_sets())
+    @example((NormalSet(2, ((F(1), F(0)),)), PointSet(2, ((F(-1), F(0)),))))
+    @example((NormalSet(2, ()), PointSet(2, ((F(1), F(0)), (F(0), F(1))))))
+    def test_one_sign_matrix_matches_the_definitions(self, case):
+        # the first example covers nothing, so it is drop-one minimal with no
+        # assignment: drop-one is not "an assignment exists"
+        H, X = case
+        covering, drop_one, by_point = brute_point_set_verdicts(H, X)
+        assignment = excluding_holds(H, X)
+        assert covering_holds(H, X) == covering
+        assert (None if assignment is None else assignment.by_point) == by_point
+        rep = validate_witness(H, X)
+        assert (rep.covering_ok, rep.drop_one_ok) == (covering, drop_one)
+        assert rep.assignment == assignment
 
 
 class TestMinimalWitness:

@@ -183,6 +183,15 @@ class TestFloatsRejected:
         with pytest.raises(InputError):
             dot((0.5, F(1)), (F(2), 1))
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [((1,), ("a",)), ((F(1),), ((1,),)), ((1,), (True,))],
+        ids=["string", "nested", "bool"],
+    )
+    def test_dot_non_numbers(self, a, b):
+        with pytest.raises(InputError, match="not a number"):
+            dot(a, b)
+
     def test_vscale(self):
         with pytest.raises(InputError):
             vscale((F(1),), 0.1)

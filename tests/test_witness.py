@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import hcara.hconvex
 from hcara.errors import InputError, NotMaximalWitnessError
 from hcara.hconvex import NormalSet, PointSet, covering_holds, minimal_h_witness
 from hcara.invariants import caratheodory_number
@@ -133,6 +134,35 @@ class TestValidate:
         H = NormalSet(2, ((F(1), F(0)),))
         rep = validate_witness(H, PointSet(2, ((F(-1), F(0)),)))
         assert not rep.covering_ok
+        # dropping the only point leaves nothing that covers, yet no normal
+        # sees the point, so there is no assignment
+        assert rep.drop_one_ok is True
+        assert rep.assignment is None
+
+    @pytest.mark.parametrize(
+        "H,points",
+        [
+            (BOX, ((F(0), F(-1)), (F(-1), F(0)), (F(1), F(1)))),
+            (
+                pyramid_normals(4),
+                cone_witness_points(pyramid_normals(4), (0, 1, 2, 3)).points.points,
+            ),
+        ],
+        ids=["no-assignment", "assignment"],
+    )
+    def test_each_inner_product_once(self, monkeypatch, H, points):
+        # one sign matrix: |H| |X| inner products, plus the |X|^2 with which
+        # ExclusionAssignment.build checks an assignment it is handed
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return dot(a, b)
+
+        monkeypatch.setattr(hcara.hconvex, "dot", counted)
+        rep = validate_witness(H, PointSet(H.dim, points))
+        n = len(points)
+        assert len(calls) == len(H) * n + (n * n if rep.assignment is not None else 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
@@ -154,8 +184,10 @@ class TestCrossModuleConsistency:
 
     def test_dropping_any_point_breaks_covering(self):
         rep = cone_witness_points(cube_normals(3), (0, 2, 4))
-        for j in range(len(rep.points)):
-            assert not covering_holds(cube_normals(3), rep.points.drop(j))
+        n = len(rep.points)
+        for j in range(n):
+            rest = rep.points.subset(k for k in range(n) if k != j)
+            assert not covering_holds(cube_normals(3), rest)
 
 
 def _bench_normal_set(rng):
