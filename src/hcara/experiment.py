@@ -10,7 +10,9 @@ checks, per trial:
 * existence of a guard assignment on every minimal witness,
 * the membership implication from the normal-restricted hull to the
   translate-intersection hull, plus equality of the two on cubes,
-* a shrink-schedule scaling check certifying the hull lower bound.
+* a shrink-schedule scaling check certifying the hull lower bound, read for
+  every scale at once off the interval of scales at which each subset of
+  the extremal witness set is a strong witness of the origin.
 
 Reports carry the full instance serialization so any record can be replayed.
 """
@@ -21,7 +23,9 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from . import __version__
-from .errors import InputError, PreconditionError, SamplingError
+from .errors import (
+    InputError, InternalConsistencyError, PreconditionError, SamplingError,
+)
 from .hconvex import NormalSet, PointSet, h_hull_contains
 from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
@@ -34,6 +38,7 @@ from .strong import (
     h_subset_strong_check,
     minimal_strong_witness,
     redundant_rows,
+    shrink_intervals,
     spans_positively,
     strong_hull_contains,
 )
@@ -201,9 +206,16 @@ def _witness_for_maximum(H: NormalSet, report: InvariantReport):
 
 
 def check_lower_bound_scaling(K: Polytope, depth: int, invariants=None) -> dict:
-    """Shrink a hull-extremal witness set by powers of two until its minimal
-    strong witness reaches full size, certifying that the strong-convexity
-    number is at least the restricted-hull number.
+    """Shrink a hull-extremal witness set X by powers of two until its minimal
+    strong witness of the origin reaches full size, certifying that the
+    strong-convexity number is at least the restricted-hull number.
+
+    One pass over the subsets Y of X gives the whole schedule
+    (:func:`shrink_intervals`): the origin is in the strong hull of eps Y
+    exactly for eps in [lo(Y), fit(Y)].  At eps = 2^-i the set does not fit
+    exactly when eps > fit(X), and otherwise the minimal witness size is the
+    least |Y| whose interval holds eps.  The facet LP of ``fits_in_translate``
+    confirms every "does-not-fit"; a fit found there is a fault.
 
     An exhausted schedule is reported as inconclusive, never asserted: the
     certifying scale exists but no a-priori bound on it is available.
@@ -213,24 +225,28 @@ def check_lower_bound_scaling(K: Polytope, depth: int, invariants=None) -> dict:
     witness = _witness_for_maximum(H, report)
     X = witness.points
     target = len(X)
-    origin = zero_vector(K.dim)
+    intervals = shrink_intervals(K, X)
+    _, lo_all, fit_all = intervals[-1]
     outcomes = []
     certified_eps = None
     for i in range(depth + 1):
         eps = Fraction(1, 2 ** i)
-        scaled = PointSet(K.dim, tuple(vscale(x, eps) for x in X.points))
-        # The origin is in the H-hull of the witness, so it is in the strong
-        # hull whenever the scaled set fits: a PreconditionError means "does
-        # not fit".  The search decides that from the conic-dependence table,
-        # so the facet LP of fits_in_translate confirms every such verdict; a
-        # fit found there is a real fault.
-        try:
-            size = len(minimal_strong_witness(K, scaled, origin))
-        except PreconditionError:
+        if fit_all is not None and eps > fit_all:
+            scaled = PointSet(K.dim, tuple(vscale(x, eps) for x in X.points))
             if fits_in_translate(K, scaled) is not None:
-                raise
+                raise InternalConsistencyError(
+                    "the conic-dependence table and the facet LP disagree on a fit"
+                )
             outcomes.append({"epsilon": str(eps), "outcome": "does-not-fit"})
             continue
+        # The origin is in the H-hull of X, so lo(X) = 0 and X is a witness
+        # whenever it fits; anything else is a hull fault.
+        if lo_all is None or lo_all > eps:
+            raise PreconditionError("query point is not in the hull of X")
+        size = next(
+            len(idx) for idx, lo, fit in intervals
+            if lo is not None and lo <= eps and (fit is None or eps <= fit)
+        )
         outcomes.append({"epsilon": str(eps), "outcome": "witness-size", "size": size})
         if size == target:
             certified_eps = eps

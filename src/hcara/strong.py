@@ -12,13 +12,15 @@ Two paths decide this, and each checks the other:
 * the facet LPs, the reference: ``fits_in_translate``,
   ``strong_hull_contains`` and ``h_subset_strong_check`` solve the region's
   feasibility and the m facet maxima as exact LPs;
-* the conic-dependence table of the normals (``linear.conic_dependences``,
-  cached per polytope), which ``minimal_strong_witness`` uses for its
-  precondition and its whole subset search, solving no LP.  By Farkas, X
-  fits exactly when <mu_S, c_S> >= 0 for every circuit S; by LP duality the
-  facet maximum is the least <lam_B, c_B> over the representations B of a_i.
-  So the hull is the normal-restricted hull of X with the supports raised to
-  b_i - min <lam_B, c_B> (``_tight_supports``).
+* the conic-dependence table of the normals (``linear.conic_dependences``),
+  built once per polytope and read in ints through its ``int_view`` by
+  ``minimal_strong_witness`` and ``shrink_intervals``, with no LP.  By
+  Farkas, X fits exactly when <mu_S, c_S> >= 0 for every circuit S; by LP
+  duality the facet maximum is the least <lam_B, c_B> over the
+  representations B of a_i, so p is in the hull exactly when every a_i has a
+  representation with <a_i, p> - b_i + <lam_B, c_B> <= 0.  Scaling X by eps
+  scales its supports, so the same rules give, for each subset, the interval
+  of eps at which the origin lies in the hull of eps times it.
 
 K bounded makes the region bounded, so the optima exist.  ``Polytope``
 construction reads its own validity checks off the same table, with no LP.
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .hconvex import NormalSet, PointSet, h_hull_contains, support
@@ -38,7 +42,9 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import Vector, conic_dependences, dot, exact, rank, vneg
+from .linear import (
+    Vector, clear_denominators, conic_dependences, dot, exact, rank, vneg,
+)
 from .lp import GE, LpStatus, feasible_point, maximize
 
 __all__ = [
@@ -46,15 +52,25 @@ __all__ = [
     "fits_in_translate",
     "strong_hull_contains",
     "minimal_strong_witness",
+    "shrink_intervals",
     "guard_assignment",
     "h_subset_strong_check",
 ]
 
 
-def _weighted(indices, coeffs, values) -> Fraction:
+def _weighted(indices, coeffs, values):
     """sum of coeffs[k] * values[indices[k]]: a table entry applied to a
-    per-row vector such as the offsets."""
+    per-row vector such as the offsets, in Fractions or in ints."""
     return sum(x * values[j] for j, x in zip(indices, coeffs))
+
+
+def _on_rows(indices, coeffs, sigma, scale=1):
+    """Ints ``(lam, d)`` with d > 0 and scale * sum coeffs_k a_j equal to
+    sum (lam_k / d) A_j, j = indices[k], for the int rows A_j = sigma_j a_j."""
+    dens = [x.denominator * sigma[j] for j, x in zip(indices, coeffs)]
+    d = lcm(*dens)
+    g = gcd(scale, d)
+    return [scale // g * x.numerator * (d // e) for x, e in zip(coeffs, dens)], d // g
 
 
 def spans_positively(normals, dim, table) -> bool:
@@ -100,7 +116,11 @@ class Polytope:
     normals are positive multiples, so the normal set H of K, built once and
     handed out by ``normal_set()``, keeps K's normals and indices.  The table,
     ``linear.conic_dependences`` of the facet normals, stays on K as the
-    attribute ``conic_dependences``.
+    attribute ``conic_dependences``, and ``int_view`` is the same table over
+    the rows cleared to ints A_i = sigma_i a_i: ``(rows, beta, den, circuits,
+    reps)`` with beta_i / den = sigma_i b_i, sum mu_j A_j = 0 for each circuit
+    (S, mu), and delta A_i = sum Lam_j A_j for each representation
+    (B, Lam, delta) in ``reps[i]``, the trivial one first; all ints.
     """
 
     dim: int
@@ -127,8 +147,22 @@ class Polytope:
         bad = redundant_rows(offsets, table)
         if bad:
             raise InputError(f"rows {bad} are redundant, not facets")
+        cleared = [clear_denominators(a) for a in normals]
+        sigma = [s for _, s in cleared]
+        beta, den = clear_denominators([s * b for s, b in zip(sigma, offsets)])
+        circuits, reps = table
         # not fields, so equality and hashing ignore them
         object.__setattr__(self, "conic_dependences", table)
+        object.__setattr__(self, "int_view", (
+            tuple(tuple(ints) for ints, _ in cleared),
+            beta,
+            den,
+            tuple((S, _on_rows(S, mu, sigma)[0]) for S, mu in circuits),
+            tuple(
+                tuple((B, *_on_rows(B, lam, sigma, sigma[i])) for B, lam in entries)
+                for i, entries in enumerate(reps)
+            ),
+        ))
         object.__setattr__(self, "_normal_set", H)
 
     def __len__(self):
@@ -218,35 +252,42 @@ def strong_hull_contains(K: Polytope, X: PointSet, p: Vector) -> bool:
     return _member_with_supports(K, [support(X, a) for a in K.normals], p)
 
 
-def _tight_supports(K: Polytope, supports):
-    """The supports raised to the strong hull's: b_i - min over the
-    representations (B, lam) of a_i of <lam, c_B>, with c = b - supports;
-    None when X fits in no translate, i.e. <mu, c_S> < 0 for some circuit S.
-    p is in the strong hull exactly when <a_i, p> <= tight_i for every i."""
-    circuits, reps = K.conic_dependences
-    c = [b - s for b, s in zip(K.offsets, supports)]
-    if any(_weighted(S, mu, c) < 0 for S, mu in circuits):
-        return None
-    return [
-        b - min(_weighted(B, lam, c) for B, lam in entries)
-        for b, entries in zip(K.offsets, reps)
-    ]
+def _levels(K: Polytope, points):
+    """L beta and, per row i, L <A_i, x> for each of the points, all ints,
+    for the least L that clears beta and the points' coordinates."""
+    rows, beta, den, _, _ = K.int_view
+    flat, q = clear_denominators([c for x in points for c in x])
+    L = lcm(den, q)
+    xs = [[L // q * v for v in flat[k:k + K.dim]] for k in range(0, len(flat), K.dim)]
+    return (
+        [L // den * b for b in beta],
+        [[sum(a * v for a, v in zip(A, x)) for x in xs] for A in rows],
+    )
 
 
 def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
     """Minimum-cardinality subset of X whose hull under K still contains p,
     by exhaustive search in (size, lexicographic index) order.
 
-    Decided from the conic-dependence table of K, with no LP.
+    Decided in ints from ``K.int_view``, with no LP: with s the supports of a
+    subset, C = L(beta - s) and E_i = L(<A_i, p> - beta_i), the subset fits
+    exactly when <mu, C_S> >= 0 for every circuit, and then p is in its hull
+    exactly when every i has a representation with delta E_i + <Lam, C_B> <= 0.
     """
     p = _query(K, X, p)
-    dots = [[dot(a, x) for x in X.points] for a in K.normals]
-    levels = [dot(a, p) for a in K.normals]
+    *_, circuits, reps = K.int_view
+    lb, levels = _levels(K, X.points + (p,))
+    E = [row[-1] - b for row, b in zip(levels, lb)]
 
     def contains(idx):
         """Membership of p in the hull of X[idx]; None when X[idx] fits nowhere."""
-        tight = _tight_supports(K, [max(row[j] for j in idx) for row in dots])
-        return None if tight is None else all(v <= t for v, t in zip(levels, tight))
+        C = [b - max(row[j] for j in idx) for row, b in zip(levels, lb)]
+        if any(_weighted(S, mu, C) < 0 for S, mu in circuits):
+            return None
+        return all(
+            any(d * e + _weighted(B, lam, C) <= 0 for B, lam, d in entries)
+            for e, entries in zip(E, reps)
+        )
 
     whole = contains(range(len(X)))
     if whole is None:
@@ -254,6 +295,39 @@ def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
     if not whole:
         raise PreconditionError("query point is not in the hull of X")
     return X.minimal_subset(contains)
+
+
+def shrink_intervals(K: Polytope, X: PointSet):
+    """``(idx, lo, fit)`` for every nonempty subset Y = X[idx], in (size,
+    lexicographic index) order: for eps > 0, eps Y fits in a translate of K
+    exactly when eps <= fit, and then the origin is in its hull exactly when
+    lo <= eps; None is no bound (fit) or no reachable one (lo).
+
+    Scaling Y scales its supports, so, with S = L s(Y) and the rules of
+    :func:`minimal_strong_witness` in ints: a circuit with <mu, S_S> > 0
+    bounds eps by <mu, L beta_S> / <mu, S_S>; for S_i < 0 a nontrivial
+    representation of a_i holds exactly when <Lam, S_B> > 0 and eps >=
+    (<Lam, L beta_B> - delta L beta_i) / <Lam, S_B>, a positive bound since
+    every row is a facet.
+    """
+    _check_joint(K, X)
+    *_, circuits, reps = K.int_view
+    lb, levels = _levels(K, X.points)
+    out = []
+    for k in range(1, len(X) + 1):
+        for idx in combinations(range(len(X)), k):
+            S = [max(row[j] for j in idx) for row in levels]
+            fit = min((
+                Fraction(_weighted(T, mu, lb), t)
+                for T, mu in circuits if (t := _weighted(T, mu, S)) > 0
+            ), default=None)
+            lows = [min((
+                Fraction(_weighted(B, lam, lb) - d * lb[i], t)
+                for B, lam, d in reps[i][1:] if (t := _weighted(B, lam, S)) > 0
+            ), default=None) for i, v in enumerate(S) if v < 0]
+            lo = None if None in lows else max(lows, default=Fraction(0))
+            out.append((idx, lo, fit))
+    return out
 
 
 def guard_assignment(K: Polytope, X: PointSet, p: Vector):

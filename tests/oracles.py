@@ -11,7 +11,10 @@ linear algebra that ``hcara.linear.pivot`` replaced.  ``brute_helly`` tests
 each subset with the LP definition, ``brute_simplex_with_origin``, so it
 shares no code with the conic-dependence table that ``helly_number`` reads.
 ``brute_point_set_verdicts`` judges a point set by the three definitions that
-``hconvex.point_set_verdicts`` reads off one sign matrix.
+``hconvex.point_set_verdicts`` reads off one sign matrix.  ``tight_supports``
+reads the strong hull's supports off ``Polytope.conic_dependences`` in
+``Fraction`` sums, the values that the facet LPs must reach and that the
+integer view of the table decides without computing.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -209,6 +212,25 @@ def lp_minimal_strong_witness(K: Polytope, X: PointSet, p):
     return X.minimal_subset(lambda idx: _member_with_supports(
         K, [max(row[j] for j in idx) for row in dots], p
     ))
+
+
+def tight_supports(K: Polytope, supports):
+    """The supports raised to the strong hull's: b_i - min over the
+    representations (B, lam) of a_i of <lam, c_B>, with c = b - supports;
+    None when X fits in no translate, i.e. <mu, c_S> < 0 for some circuit S.
+    p is in the strong hull exactly when <a_i, p> <= tight_i for every i."""
+    circuits, reps = K.conic_dependences
+    c = [b - s for b, s in zip(K.offsets, supports)]
+
+    def weighted(indices, coeffs):
+        return sum(x * c[j] for j, x in zip(indices, coeffs))
+
+    if any(weighted(S, mu) < 0 for S, mu in circuits):
+        return None
+    return [
+        b - min(weighted(B, lam) for B, lam in entries)
+        for b, entries in zip(K.offsets, reps)
+    ]
 
 
 def _fraction_pivot(T, z, basis, pr, pc):

@@ -1,10 +1,18 @@
 import hashlib
 import json
+from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hcara.errors import InputError, PreconditionError
+from oracles import lp_minimal_strong_witness
+
+import hcara.experiment
+import hcara.strong
+from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.experiment import (
     ExperimentConfig,
     check_guard_existence,
@@ -15,9 +23,14 @@ from hcara.experiment import (
     run_suite,
     run_trial,
 )
+from hcara.hconvex import PointSet
+from hcara.invariants import caratheodory_number
 from hcara.jsonio import dump_canonical
+from hcara.linear import vadd, vscale
 from hcara.shapes import cube_polytope, pyramid_polytope, simplex_polytope
-from hcara.strong import fits_in_translate, minimal_strong_witness
+from hcara.strong import (
+    Polytope, fits_in_translate, minimal_strong_witness, shrink_intervals,
+)
 
 SMALL = ExperimentConfig(
     seed=7, trials=6, dim=2, max_normals=5, max_points=4,
@@ -91,9 +104,6 @@ class TestChecks:
 
     def test_guard_on_trivial_instance(self):
         K = cube_polytope(2)
-        from fractions import Fraction as F
-        from hcara.hconvex import PointSet
-
         X = PointSet(2, ((F(0), F(0)),))
         p = (F(0), F(0))
         record = check_guard_existence(K, minimal_strong_witness(K, X, p), p)
@@ -118,14 +128,137 @@ class TestChecks:
         assert outcomes == ["does-not-fit", "does-not-fit", "witness-size", "witness-size"]
 
     def test_scaling_surfaces_a_hull_fault_when_the_set_fits(self, monkeypatch):
-        # A fitting set whose witness search still fails is a fault, not a
-        # "does-not-fit" outcome.
-        def not_in_hull(K, X, p):
-            raise PreconditionError("query point is not in the hull of X")
+        # Moving the witness set off the origin keeps every fit but takes the
+        # origin out of its H-hull: at the first scale where it fits, lo(X)
+        # exceeds the scale, a fault and not a "does-not-fit" outcome.
+        real = hcara.experiment._witness_for_maximum
 
-        monkeypatch.setattr("hcara.experiment.minimal_strong_witness", not_in_hull)
+        def shifted(H, report):
+            witness = real(H, report)
+            points = tuple(vadd(x, (F(3),) * H.dim) for x in witness.points.points)
+            return SimpleNamespace(points=PointSet(H.dim, points), kind=witness.kind)
+
+        monkeypatch.setattr(hcara.experiment, "_witness_for_maximum", shifted)
         with pytest.raises(PreconditionError, match="not in the hull"):
             check_lower_bound_scaling(cube_polytope(3), 3)
+
+    def test_scaling_surfaces_a_fit_the_table_missed(self, monkeypatch):
+        # The table says the scaled set fits nowhere; a translate from the
+        # facet LP contradicts it.
+        monkeypatch.setattr(
+            hcara.experiment, "fits_in_translate", lambda K, X: (F(0),) * K.dim
+        )
+        with pytest.raises(InternalConsistencyError, match="disagree"):
+            check_lower_bound_scaling(simplex_polytope(2), 3)
+
+    @pytest.mark.parametrize(
+        "K,depth,expected",
+        [(cube_polytope(3), 8, []), (simplex_polytope(2), 3, 2 * ["feasible_point"])],
+    )
+    def test_scaling_solves_one_lp_per_does_not_fit(self, monkeypatch, K, depth, expected):
+        calls = []
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(hcara.strong, "maximize", spy(hcara.strong.maximize))
+        monkeypatch.setattr(
+            hcara.strong, "feasible_point", spy(hcara.strong.feasible_point)
+        )
+        record = check_lower_bound_scaling(K, depth)
+        assert len(record["schedule"]) == depth + 1
+        outcomes = [s["outcome"] for s in record["schedule"]]
+        assert outcomes.count("does-not-fit") == len(expected)
+        assert calls == expected
+
+
+def _certifying_bound(intervals):
+    """eps* = min(fit(X), lo(Y) over the proper Y whose interval is not
+    empty), None when unbounded: the scales at which every proper subset
+    misses the origin while X fits are eps <= fit(X) with eps < lo(Y)."""
+    *proper, (_, _, fit_all) = intervals
+    bounds = [lo for _, lo, fit in proper if lo is not None and (fit is None or lo <= fit)]
+    if fit_all is not None:
+        bounds.append(fit_all)
+    return min(bounds, default=None)
+
+
+def _scaled(X, eps):
+    return PointSet(X.dim, tuple(vscale(x, eps) for x in X.points))
+
+
+def _search_outcome(search, K, X):
+    """The witness size of the origin, or "does-not-fit"."""
+    try:
+        return len(search(K, X, (F(0),) * K.dim))
+    except PreconditionError as exc:
+        assert "does not fit" in str(exc)
+        return "does-not-fit"
+
+
+def _witness_set(K):
+    H = K.normal_set()
+    return hcara.experiment._witness_for_maximum(H, caratheodory_number(H)).points
+
+
+class TestParametricSchedule:
+    """The schedule read off the intervals against a search at every scale."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((2, 3)), st.integers(0, 10 ** 6), st.integers(0, 5),
+        st.sampled_from((F(1), F(2, 3), F(5, 4))),
+    )
+    # does-not-fit then certified; smaller witnesses then certified; both
+    # and inconclusive; a subset whose lo is exactly 1/2
+    @example(2, 1, 5, F(1))
+    @example(2, 2, 5, F(1))
+    @example(3, 133, 5, F(1))
+    @example(2, 57, 5, F(1))
+    def test_equals_per_scale_searches(self, dim, seed, depth, stretch):
+        """K is a ``random_instance`` polytope stretched about the origin,
+        so that its offsets need not be ints."""
+        config = ExperimentConfig(
+            seed=seed, trials=1, dim=dim, max_normals=dim + 3, max_points=4,
+            coordinate_bound=3, scaling_depth=depth,
+        )
+        K, _ = random_instance(config, 0)
+        K = Polytope(dim, K.normals, tuple(stretch * b for b in K.offsets))
+        X = _witness_set(K)
+        record = check_lower_bound_scaling(K, depth)
+        *proper, (_, _, fit_all) = shrink_intervals(K, X)
+        for i, step in enumerate(record["schedule"]):
+            eps = F(1, 2 ** i)
+            assert step["epsilon"] == str(eps)
+            got = step.get("size", step["outcome"])
+            assert got == _search_outcome(minimal_strong_witness, K, _scaled(X, eps))
+            assert got == _search_outcome(lp_minimal_strong_witness, K, _scaled(X, eps))
+            certifies = (fit_all is None or eps <= fit_all) and all(
+                lo is None or eps < lo for _, lo, _ in proper
+            )
+            assert (got == len(X)) == certifies
+
+    @pytest.mark.parametrize(
+        "trial,star", [(18, F(275, 5208)), (125, F(81, 1397)), (204, F(3, 143))]
+    )
+    def test_inconclusive_trials_certify_below_the_schedule(self, trial, star):
+        config = ExperimentConfig(
+            seed=7, trials=1, dim=3, max_normals=6, max_points=4,
+            coordinate_bound=3, scaling_depth=3,
+        )
+        K, _ = random_instance(config, trial)
+        record = check_lower_bound_scaling(K, config.scaling_depth)
+        assert not record["certified"] and record["epsilon"] is None
+        X = _witness_set(K)
+        assert _certifying_bound(shrink_intervals(K, X)) == star < F(1, 8)
+        # The facet LPs see the same boundary: just below eps* every point
+        # is needed, at eps* a proper subset is a witness or X does not fit.
+        below = _scaled(X, star * F(999, 1000))
+        assert _search_outcome(lp_minimal_strong_witness, K, below) == len(X)
+        assert _search_outcome(lp_minimal_strong_witness, K, _scaled(X, star)) != len(X)
 
 
 class TestSuite:

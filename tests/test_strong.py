@@ -12,6 +12,7 @@ from oracles import (
     lp_interior_slack,
     lp_minimal_strong_witness,
     lp_redundant_rows,
+    tight_supports,
 )
 
 import hcara.lp
@@ -35,7 +36,6 @@ from hcara.shapes import (
 from hcara.strong import (
     Polytope,
     _member_with_supports,
-    _tight_supports,
     _translate_rows,
     fits_in_translate,
     guard_assignment,
@@ -340,17 +340,67 @@ class TestConicDependences:
             assert [list(entries) for entries in reps] == brute_reps
 
 
+class TestIntView:
+    """``Polytope.int_view`` is the table over the rows cleared to ints."""
+
+    @staticmethod
+    def polytopes():
+        out = [K for _, K, _ in named_polytopes()]
+        for seed in range(10):
+            for dim in (2, 3):
+                config = ExperimentConfig(
+                    seed=seed, trials=1, dim=dim, max_normals=dim + 3,
+                    max_points=1, coordinate_bound=3, scaling_depth=0,
+                )
+                out.append(random_instance(config, 0)[0])
+        return out
+
+    def test_entries_hold_by_substitution(self):
+        polytopes = self.polytopes()
+        assert any(c.denominator > 1 for K in polytopes for a in K.normals for c in a)
+        for K in polytopes:
+            rows, beta, den, circuits, reps = K.int_view
+            table_circuits, table_reps = K.conic_dependences
+
+            def combination(indices, coeffs):
+                return [
+                    sum(c * rows[j][t] for j, c in zip(indices, coeffs))
+                    for t in range(K.dim)
+                ]
+
+            for A, a, b, bb in zip(rows, K.normals, K.offsets, beta):
+                assert all(type(v) is int for v in A)
+                sigma = next(v / c for v, c in zip(A, a) if c)
+                assert sigma > 0 and sigma.denominator == 1
+                assert tuple(sigma * c for c in a) == A
+                assert F(bb, den) == sigma * b
+            assert [S for S, _ in circuits] == [S for S, _ in table_circuits]
+            for S, mu in circuits:
+                assert all(type(x) is int and x > 0 for x in mu)
+                assert combination(S, mu) == [0] * K.dim
+            for i, (entries, table_entries) in enumerate(zip(reps, table_reps)):
+                assert [B for B, _, _ in entries] == [B for B, _ in table_entries]
+                assert entries[0] == ((i,), [1], 1)
+                for B, lam, delta in entries:
+                    assert type(delta) is int and delta > 0
+                    assert all(type(x) is int and x > 0 for x in lam)
+                    assert combination(B, lam) == [delta * v for v in rows[i]]
+
+
 @st.composite
 def strong_cases(draw):
-    """(K, X, queries): K from ``random_instance`` in dims 2 and 3, X of 1 to
-    4 points shrunk by a drawn factor so that both fitting and non-fitting X
-    come up, and queries a convex combination of X and a point near it."""
+    """(K, X, queries): K from ``random_instance`` in dims 2 and 3, stretched
+    about the origin so that its offsets need not be ints, X of 1 to 4 points
+    shrunk by a drawn factor so that both fitting and non-fitting X come up,
+    and queries a convex combination of X and a point near it."""
     dim = draw(st.sampled_from((2, 3)))
     config = ExperimentConfig(
         seed=draw(st.integers(0, 10 ** 6)), trials=1, dim=dim,
         max_normals=dim + 3, max_points=4, coordinate_bound=3, scaling_depth=0,
     )
     K, _ = random_instance(config, 0)
+    stretch = draw(st.sampled_from((F(1), F(2, 3), F(5, 4))))
+    K = Polytope(dim, K.normals, tuple(stretch * b for b in K.offsets))
     shrink = draw(st.sampled_from((F(1), F(1, 2), F(1, 4))))
     points = draw(st.lists(vectors(dim), min_size=1, max_size=4, unique=True))
     X = PointSet(dim, tuple(vscale(x, shrink) for x in points))
@@ -372,9 +422,19 @@ def _outcome(search, K, X, p):
         return str(exc)
 
 
+def _int_member(K, X, p):
+    """Membership of p in the strong hull of X read off ``K.int_view`` by
+    ``minimal_strong_witness``, which decides the whole of X first; None
+    when X fits in no translate."""
+    outcome = _outcome(minimal_strong_witness, K, X, p)
+    if outcome == "X does not fit in any translate of K":
+        return None
+    return outcome != "query point is not in the hull of X"
+
+
 def _facet_lp_supports(K, supports):
     """b_i minus the optimum of facet i's LP, the same limit as
-    ``_tight_supports`` computed by the simplex."""
+    ``tight_supports`` computed by the simplex."""
     rows = _translate_rows(K, supports)
     return [
         b - maximize(rows, vneg(a), K.dim, nonneg=False).value
@@ -399,9 +459,13 @@ class TestTablePath:
         X = PointSet(2, ((F(1), F(0)), (F(0), F(1))))
         p = (F(1), F(1, 2))
         supports = [support(X, a) for a in self.PENTAGON.normals]
-        assert _tight_supports(self.PENTAGON, supports) == [1, 1, 0, 0, F(3, 2)]
+        tight = tight_supports(self.PENTAGON, supports)
+        assert tight == [1, 1, 0, 0, F(3, 2)]
+        assert tight == _facet_lp_supports(self.PENTAGON, supports)
         assert not h_hull_contains(self.PENTAGON.normal_set(), X, p)
         assert strong_hull_contains(self.PENTAGON, X, p)
+        assert _member_with_supports(self.PENTAGON, supports, p)
+        assert _int_member(self.PENTAGON, X, p) is True
         assert minimal_strong_witness(self.PENTAGON, X, p) == X
 
     @settings(max_examples=120, deadline=None)
@@ -409,13 +473,15 @@ class TestTablePath:
     def test_agrees_with_facet_lps(self, case):
         K, X, queries = case
         supports = [support(X, a) for a in K.normals]
-        tight = _tight_supports(K, supports)
+        tight = tight_supports(K, supports)
         for p in queries:
             try:
                 lp_member = _member_with_supports(K, supports, p)
             except PreconditionError:
                 assert tight is None
+                assert _int_member(K, X, p) is None
             else:
+                assert _int_member(K, X, p) == lp_member
                 assert tight == _facet_lp_supports(K, supports)
                 table_member = all(dot(a, p) <= t for a, t in zip(K.normals, tight))
                 assert table_member == lp_member
