@@ -39,11 +39,15 @@ class NormalSet:
 
     Construction collapses normals that are positive multiples of one another,
     keeping the first occurrence, so indices always refer to the collapsed
-    list.
+    list.  ``conic_dependences`` is the normals' table when the ``Polytope``
+    that built the set attached its own, and None on a set built directly,
+    which caches nothing.
     """
 
     dim: int
     normals: tuple[Vector, ...]
+    # not a field, so equality and hashing ignore it
+    conic_dependences = None
 
     def __post_init__(self):
         if self.dim < 1:

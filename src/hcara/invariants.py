@@ -145,8 +145,9 @@ def helly_number(H: NormalSet) -> tuple[int, tuple[int, ...]]:
     """Largest minimal positively dependent subset, with its index witness:
     the first circuit of the largest size in H's conic-dependence table, in
     its (size, lexicographic) order.  Returns (0, ()) for a one-sided H.
+    The table a ``Polytope`` attached to its normal set is read, not rebuilt.
     """
-    circuits, _ = conic_dependences(H.normals)
+    circuits, _ = H.conic_dependences or conic_dependences(H.normals)
     if not circuits:
         return (0, ())
     k = len(circuits[-1][0])

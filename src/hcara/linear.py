@@ -33,9 +33,17 @@ def zero_vector(dim: int) -> Vector:
 
 
 def dot(a: Vector, b: Vector) -> Fraction:
+    """Exact inner product: one int numerator over the product of the
+    denominators, normalized once into a Fraction."""
     if len(a) != len(b):
         raise InputError(f"dimension mismatch in inner product: {len(a)} vs {len(b)}")
-    return sum((exact(x) * exact(y) for x, y in zip(a, b)), Fraction(0))
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        x, y = exact(x), exact(y)
+        d = x.denominator * y.denominator
+        num = num * d + x.numerator * y.numerator * den
+        den *= d
+    return Fraction(num, den)
 
 
 def vadd(a: Vector, b: Vector) -> Vector:

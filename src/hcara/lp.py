@@ -2,9 +2,14 @@
 
 The simplex pivots on one integer tableau with ``linear.pivot``, the step
 every exact elimination in hcara takes.  The phase-1 row and the phase-2 cost
-row are ordinary bottom rows of that tableau, so one step updates constraints
+rows are ordinary bottom rows of that tableau, so one step updates constraints
 and objectives alike: every row is a positive integer multiple of its true
-rational row, and a constraint row's basic entry is its denominator.  Inputs
+rational row, and a constraint row's basic entry is its denominator.  Phase 1
+reads only its own row and the constraint rows, so ``maximize_each`` carries
+several cost rows through one phase 1 and then runs each objective's phase 2,
+lazily, on its own list of the constraint rows; ``maximize`` and
+``feasible_point`` are the one-objective and no-objective cases of the same
+kernel, whose outcomes match a lone solve's pivot for pivot.  Inputs
 arrive as ints or fractions.Fraction.  A witness is checked by substitution
 into the input rows cleared of denominators, in ints, and only then leaves as
 Fractions, so feasibility and optimality are decided with zero tolerance and
@@ -39,8 +44,8 @@ class LpStatus(Enum):
     UNBOUNDED = "UNBOUNDED"
 
 
-def _checked(rows, objective, num_vars):
-    """(rows, objective) checked for shape, width and relation, every value a
+def _checked_rows(rows, num_vars):
+    """The rows checked for shape, width and relation, every value a
     Fraction; InputError on anything malformed."""
     if num_vars < 1:
         raise InputError("a linear program needs at least one variable")
@@ -55,11 +60,15 @@ def _checked(rows, objective, num_vars):
         if rel not in RELATIONS:
             raise InputError(f"unknown relation {rel!r}")
         checked.append((tuple(exact(c) for c in coeffs), rel, exact(rhs)))
-    if objective is not None:
-        if len(objective) != num_vars:
-            raise InputError("objective length must equal num_vars")
-        objective = tuple(exact(c) for c in objective)
-    return tuple(checked), objective
+    return tuple(checked)
+
+
+def _checked_objective(objective, num_vars):
+    """The objective as a tuple of Fractions; InputError unless it has one
+    coefficient per variable."""
+    if len(objective) != num_vars:
+        raise InputError("objective length must equal num_vars")
+    return tuple(exact(c) for c in objective)
 
 
 @dataclass(frozen=True)
@@ -74,9 +83,10 @@ class LinearProgram:
     objective: Vector | None = None
 
     def __post_init__(self):
-        rows, objective = _checked(self.rows, self.objective, self.num_vars)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "rows", _checked_rows(self.rows, self.num_vars))
+        if self.objective is not None:
+            objective = _checked_objective(self.objective, self.num_vars)
+            object.__setattr__(self, "objective", objective)
 
 
 @dataclass(frozen=True)
@@ -123,27 +133,34 @@ def _primal(T, basis, ncols):
         basis[pr] = pc
 
 
-def _simplex(num_vars, rows, objective, nonneg) -> LpOutcome:
-    """Core solver on checked rows: the outcome of maximizing ``objective``,
-    or of the feasibility question alone when it is None.
+def _simplex(num_vars, rows, objectives, nonneg):
+    """Core solver on checked rows, a generator: the outcome of maximizing
+    each of ``objectives`` in turn, or the one outcome of the feasibility
+    question when ``objectives`` is None.
 
     When ``nonneg`` is False the variables are free and get split into
     positive/negative parts; when True every variable is constrained >= 0 and
     used directly.
 
-    The tableau T holds ints only: the constraint rows, then the cost row
-    when there is an objective, then the phase-1 row.  Each row is a positive
-    multiple of its true row, so a basic variable's value is the row's rhs
-    over the row's entry in that variable's column, and an objective row is a
-    positive multiple of the true reduced costs, read by sign.  Under the
-    starting artificial basis the phase-2 reduced costs are the costs, so the
-    cost row enters T as the cleared objective and rides through phase 1.
-    The artificial columns are never priced or read, so they are not stored;
-    an artificial stays in ``basis`` as its index ``ncols + r``.
+    The tableau T holds ints only: the constraint rows, then one cost row per
+    objective, then the phase-1 row.  Each row is a positive multiple of its
+    true row, so a basic variable's value is the row's rhs over the row's
+    entry in that variable's column, and an objective row is a positive
+    multiple of the true reduced costs, read by sign.  Under the starting
+    artificial basis the phase-2 reduced costs are the costs, so each cost
+    row enters T as the cleared objective and rides through phase 1.  Phase
+    1 prices on its own row and pivots on constraint rows only, so it takes
+    the same pivots whatever cost rows ride along, and one phase 1 serves
+    every objective.  The artificial columns are never priced or read, so
+    they are not stored; an artificial stays in ``basis`` as its index
+    ``ncols + r``.
 
-    A witness is checked by substitution into the cleared input rows, which
-    no pivot touches, in ints over one common denominator d of the basic
-    entries; Fractions are built only for the witness and the value.
+    Each phase 2 runs only when its outcome is asked for, on the constraint
+    rows as phase 1 left them plus its own cost row, so its pivots, witness
+    and value are those of a lone solve of that objective.  A witness is
+    checked by substitution into the cleared input rows, which no pivot
+    touches, in ints over one common denominator d of the basic entries;
+    Fractions are built only for the witness and the value.
     """
     base = num_vars if nonneg else 2 * num_vars
     ineq_rows = [r for r, (_, rel, _) in enumerate(rows) if rel != EQ]
@@ -182,14 +199,15 @@ def _simplex(num_vars, rows, objective, nonneg) -> LpOutcome:
             if v:
                 phase1[j] += k * v
     T = [reduced_row(row) for row in T]
-    if objective is not None:
-        cost, cost_scale = clear_denominators(objective)
-        T.append(tableau_row(cost + [0]))
+    costs = [clear_denominators(c) for c in objectives or ()]
+    T += [tableau_row(cost + [0]) for cost, _ in costs]
     T.append(reduced_row(phase1))
     if _primal(T, basis, ncols) == "unbounded":
         raise InternalConsistencyError("phase-1 objective cannot be unbounded")
     if T.pop()[rhs_ix] != 0:
-        return LpOutcome(LpStatus.INFEASIBLE)
+        for _ in costs if objectives is not None else (None,):
+            yield LpOutcome(LpStatus.INFEASIBLE)
+        return
 
     # Drive leftover artificials out of the basis; a row with no structural
     # pivot left is redundant and gets dropped.
@@ -206,36 +224,51 @@ def _simplex(num_vars, rows, objective, nonneg) -> LpOutcome:
         del T[i]
         del basis[i]
 
-    if objective is not None and _primal(T, basis, ncols) == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
+    def witness(T, basis):
+        """(X, d) with x_j = X_j / d, checked against every input row."""
+        d = lcm(*(T[i][b] for i, b in enumerate(basis) if b < base))
+        X = [0] * base
+        for i, b in enumerate(basis):
+            if b < base:
+                X[b] = T[i][rhs_ix] * (d // T[i][b])
+        if not nonneg:
+            X = [p - n for p, n in zip(X[:num_vars], X[num_vars:])]
+        for (ints, _), (coeffs, rel, rhs) in zip(cleared, rows):
+            v = sum(c * x for c, x in zip(ints[:num_vars], X))
+            b = ints[num_vars] * d
+            if not (v <= b if rel == LE else v >= b if rel == GE else v == b):
+                raise InternalConsistencyError(
+                    f"simplex witness violates row {coeffs} {rel} {rhs}"
+                )
+        return X, d
 
-    # x_j = X_j / d, the free variables as positive minus negative part.
-    d = lcm(*(T[i][b] for i, b in enumerate(basis) if b < base))
-    X = [0] * base
-    for i, b in enumerate(basis):
-        if b < base:
-            X[b] = T[i][rhs_ix] * (d // T[i][b])
-    if not nonneg:
-        X = [p - n for p, n in zip(X[:num_vars], X[num_vars:])]
-    for (ints, _), (coeffs, rel, rhs) in zip(cleared, rows):
-        v = sum(c * x for c, x in zip(ints[:num_vars], X))
-        b = ints[num_vars] * d
-        if not (v <= b if rel == LE else v >= b if rel == GE else v == b):
-            raise InternalConsistencyError(
-                f"simplex witness violates row {coeffs} {rel} {rhs}"
-            )
-    witness = tuple(Fraction(x, d) for x in X)
-    if objective is None:
-        return LpOutcome(LpStatus.FEASIBLE, witness)
-    value = Fraction(sum(c * x for c, x in zip(cost, X)), d * cost_scale)
-    return LpOutcome(LpStatus.OPTIMAL, witness, value)
+    if objectives is None:
+        X, d = witness(T, basis)
+        yield LpOutcome(LpStatus.FEASIBLE, tuple(Fraction(x, d) for x in X))
+        return
+    # pivot replaces the rows it changes and never edits one in place, so a
+    # phase 2 on a new list of the constraint rows leaves them intact for
+    # the next.
+    m = len(basis)
+    for k, (cost, cost_scale) in enumerate(costs):
+        Tk = T[:m] + [T[m + k]]
+        basis_k = basis[:]
+        if _primal(Tk, basis_k, ncols) == "unbounded":
+            yield LpOutcome(LpStatus.UNBOUNDED)
+            continue
+        X, d = witness(Tk, basis_k)
+        value = Fraction(sum(c * x for c, x in zip(cost, X)), d * cost_scale)
+        yield LpOutcome(LpStatus.OPTIMAL, tuple(Fraction(x, d) for x in X), value)
 
 
-def _solve(rows, objective, num_vars, nonneg) -> LpOutcome:
-    """Check and coerce the input, then run the simplex, which verifies any
-    witness against every row by exact substitution."""
-    rows, objective = _checked(rows, objective, num_vars)
-    return _simplex(num_vars, rows, objective, nonneg)
+def _solve(rows, objectives, num_vars, nonneg):
+    """Check and coerce the input, then hand back the simplex's outcomes,
+    which verify any witness against every row by exact substitution.  The
+    input is checked at the call, the simplex runs as outcomes are read."""
+    rows = _checked_rows(rows, num_vars)
+    if objectives is not None:
+        objectives = [_checked_objective(c, num_vars) for c in objectives]
+    return _simplex(num_vars, rows, objectives, nonneg)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -245,7 +278,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
     OPTIMAL, UNBOUNDED or INFEASIBLE.  Witnesses are verified against every
     row by exact substitution before being returned.
     """
-    return _solve(lp.rows, lp.objective, lp.num_vars, nonneg=False)
+    objectives = None if lp.objective is None else (lp.objective,)
+    return next(_solve(lp.rows, objectives, lp.num_vars, nonneg=False))
 
 
 def feasible_point(rows, num_vars, nonneg=False) -> Vector | None:
@@ -254,9 +288,18 @@ def feasible_point(rows, num_vars, nonneg=False) -> Vector | None:
     Lower-level sibling of :func:`solve` used by the geometry modules; with
     ``nonneg`` every variable is constrained to be >= 0 without explicit rows.
     """
-    return _solve(rows, None, num_vars, nonneg).witness
+    return next(_solve(rows, None, num_vars, nonneg)).witness
 
 
 def maximize(rows, objective, num_vars, nonneg=False) -> LpOutcome:
     """Maximize ``objective`` subject to rows; statuses as in :func:`solve`."""
-    return _solve(rows, objective, num_vars, nonneg)
+    return next(_solve(rows, (objective,), num_vars, nonneg))
+
+
+def maximize_each(rows, objectives, num_vars, nonneg=False):
+    """Iterator over the outcomes of maximizing each of ``objectives``
+    subject to one row system, in order: each equals the matching
+    :func:`maximize` call's outcome.  One phase 1 serves them all, and each
+    phase 2 runs only when its outcome is read, so a caller that stops early
+    skips the rest.  The input is checked at the call."""
+    return _solve(rows, objectives, num_vars, nonneg)

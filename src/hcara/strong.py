@@ -11,7 +11,9 @@ Two paths decide this, and each checks the other:
 
 * the facet LPs, the reference: ``fits_in_translate``,
   ``strong_hull_contains`` and ``h_subset_strong_check`` solve the region's
-  feasibility and the m facet maxima as exact LPs;
+  feasibility and the m facet maxima as exact LPs.  The m maxima share one
+  row system, so ``lp.maximize_each`` runs one phase 1 for all of them and a
+  phase 2 per facet only until the first violated facet;
 * the conic-dependence table of the normals (``linear.conic_dependences``),
   built once per polytope and read in ints through its ``int_view`` by
   ``minimal_strong_witness`` and ``shrink_intervals``, with no LP.  By
@@ -45,7 +47,7 @@ from .jsonio import (
 from .linear import (
     Vector, clear_denominators, conic_dependences, dot, exact, rank, vneg,
 )
-from .lp import GE, LpStatus, feasible_point, maximize
+from .lp import GE, LpStatus, feasible_point, maximize_each
 
 __all__ = [
     "Polytope",
@@ -115,8 +117,8 @@ class Polytope:
     (``redundant_rows``), in that order.  Every row being a facet, no two
     normals are positive multiples, so the normal set H of K, built once and
     handed out by ``normal_set()``, keeps K's normals and indices.  The table,
-    ``linear.conic_dependences`` of the facet normals, stays on K as the
-    attribute ``conic_dependences``, and ``int_view`` is the same table over
+    ``linear.conic_dependences`` of the facet normals, stays on K and on H as
+    the attribute ``conic_dependences``, and ``int_view`` is the same table over
     the rows cleared to ints A_i = sigma_i a_i: ``(rows, beta, den, circuits,
     reps)`` with beta_i / den = sigma_i b_i, sum mu_j A_j = 0 for each circuit
     (S, mu), and delta A_i = sum Lam_j A_j for each representation
@@ -163,6 +165,7 @@ class Polytope:
                 for i, entries in enumerate(reps)
             ),
         ))
+        object.__setattr__(H, "conic_dependences", table)
         object.__setattr__(self, "_normal_set", H)
 
     def __len__(self):
@@ -219,10 +222,13 @@ def fits_in_translate(K: Polytope, X: PointSet) -> Vector | None:
 
 def _member_with_supports(K: Polytope, supports, p: Vector) -> bool:
     """Membership via per-facet violation maxima; supports are precomputed.
-    The facet LPs share their rows, so an infeasible one means X fits nowhere."""
-    rows = _translate_rows(K, supports)
-    for i, a in enumerate(K.normals):
-        outcome = maximize(rows, vneg(a), K.dim, nonneg=False)
+    The facet LPs share their rows, so one phase 1 serves them all, an
+    infeasible one means X fits nowhere, and the first violated facet ends
+    the query before the later facets' phase 2."""
+    outcomes = maximize_each(
+        _translate_rows(K, supports), [vneg(a) for a in K.normals], K.dim
+    )
+    for i, (a, outcome) in enumerate(zip(K.normals, outcomes)):
         if outcome.status is LpStatus.INFEASIBLE:
             raise PreconditionError("X does not fit in any translate of K")
         if outcome.status is not LpStatus.OPTIMAL:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import lp_minimal_strong_witness
 
 import hcara.experiment
+import hcara.linear
 import hcara.strong
 from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.experiment import (
@@ -164,7 +166,7 @@ class TestChecks:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(hcara.strong, "maximize", spy(hcara.strong.maximize))
+        monkeypatch.setattr(hcara.strong, "maximize_each", spy(hcara.strong.maximize_each))
         monkeypatch.setattr(
             hcara.strong, "feasible_point", spy(hcara.strong.feasible_point)
         )
@@ -309,3 +311,29 @@ def test_seed42_trial_digest(workload, ops, dim, max_normals):
     for i in range(ops):
         sha.update(dump_canonical(run_trial(config, i)).encode())
     assert sha.hexdigest() == stored["sha256"]
+
+
+def test_a_trial_builds_one_table_per_polytope(monkeypatch):
+    """16 seed-42 trials of the benchmark's dim-2 shape build the table of a
+    whole normal set 52 times: once per row set ``random_instance`` draws and
+    once per ``Polytope``, whose table ``helly_number`` reads rather than
+    rebuilds (68 builds when it rebuilt).  The witness module's tables of
+    subsets are not counted."""
+    original = hcara.linear.conic_dependences
+    builds = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hcara.") and getattr(module, "conic_dependences", None) is original:
+            def spy(*args, _name=name):
+                builds.append(_name)
+                return original(*args)
+            monkeypatch.setattr(module, "conic_dependences", spy)
+    cube_polytope.cache_clear()
+    config = ExperimentConfig(
+        seed=42, trials=1, dim=2, max_normals=5, max_points=4,
+        coordinate_bound=3, scaling_depth=3,
+    )
+    for i in range(16):
+        run_trial(config, i)
+    whole = [name for name in builds if name != "hcara.witness"]
+    assert len(whole) == 52
+    assert "hcara.invariants" not in whole

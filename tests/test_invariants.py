@@ -188,6 +188,34 @@ class TestHellyNumber:
         H = NormalSet(2, ((F(1), F(0)), (F(0), F(1))))
         assert helly_number(H) == (0, ())
 
+    def test_reads_the_polytope_table(self, monkeypatch):
+        import hcara.invariants
+        from conftest import named_polytopes
+
+        cases = [
+            (name, K, helly_number(NormalSet(K.dim, K.normals)))
+            for name, K, _ in named_polytopes()
+        ]
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("the polytope's table was built again")
+
+        monkeypatch.setattr(hcara.invariants, "conic_dependences", no_table)
+        for name, K, expected in cases:
+            H = K.normal_set()
+            assert H.conic_dependences is K.conic_dependences, name
+            assert helly_number(H) == expected, name
+
+    def test_sets_built_directly_cache_nothing(self):
+        H = NormalSet(2, ((F(1), F(0)), (F(0), F(1)), (F(-1), F(-1))))
+        assert helly_number(H) == (3, (0, 1, 2))
+        assert H.conic_dependences is None
+        assert vars(H).keys() == {"dim", "normals"}
+        K_set = triangle_normals()
+        assert K_set.conic_dependences is not None
+        direct = NormalSet(K_set.dim, K_set.normals)
+        assert direct == K_set and hash(direct) == hash(K_set)
+
 
 class TestConeNumber:
     def test_cube(self):

@@ -176,6 +176,54 @@ def test_every_elimination_takes_linear_pivot(monkeypatch):
         assert calls, f"{name} does not reach linear.pivot"
 
 
+@st.composite
+def dot_pairs(draw):
+    """Two vectors of one length 0-4 whose entries are ints, Fractions or a
+    mix, including entries far past machine words."""
+    dim = draw(st.integers(0, 4))
+    entry = draw(st.sampled_from((
+        st.integers(-(10**20), 10**20),
+        entries,
+        st.one_of(st.integers(-9, 9), entries),
+    )))
+    vector = st.tuples(*[entry] * dim)
+    return draw(vector), draw(vector)
+
+
+class TestDot:
+    @settings(max_examples=300, deadline=None)
+    @given(dot_pairs())
+    def test_matches_the_fraction_sum(self, pair):
+        a, b = pair
+        value = dot(a, b)
+        assert type(value) is F
+        assert value == sum((F(x) * F(y) for x, y in zip(a, b)), F(0))
+
+    def test_result_is_normalized(self):
+        value = dot((F(1, 2), F(1, 3)), (F(2, 3), F(1, 2)))
+        assert (value.numerator, value.denominator) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [((1, 2), (1,)), ((), (F(1),)), ((F(1, 2),), ())],
+        ids=["shorter-right", "empty-left", "empty-right"],
+    )
+    def test_length_mismatch(self, a, b):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            dot(a, b)
+
+    @pytest.mark.parametrize(
+        "bad", [True, "1", 0.5, (1,), [F(1)]], ids=["bool", "str", "float", "tuple", "list"]
+    )
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_bad_entries_raise_on_either_side(self, bad, side):
+        good = (F(1, 3), 2, bad)
+        other = (F(1), F(2, 5), 7)
+        a, b = (good, other) if side == 0 else (other, good)
+        with pytest.raises(InputError):
+            dot(a, b)
+
+
 class TestFloatsRejected:
     def test_dot(self):
         with pytest.raises(InputError):

@@ -16,6 +16,7 @@ from hcara.lp import (
     LpStatus,
     feasible_point,
     maximize,
+    maximize_each,
     solve,
 )
 
@@ -111,6 +112,9 @@ class TestValidation:
             lambda: maximize([((1,), LE, 0)], (1, 2), 1),
             lambda: feasible_point([((0.1,), LE, 1)], 1),
             lambda: LinearProgram(1, (((0.1,), LE, F(1)),)),
+            # checked at the call, before any outcome is read
+            lambda: maximize_each([((1,), LE, 0)], [(1,), (1, 2)], 1),
+            lambda: maximize_each([((1,), LE, 0.5)], [(1,)], 1),
         ],
         ids=[
             "feasible_point-unknown-relation",
@@ -118,6 +122,8 @@ class TestValidation:
             "maximize-wrong-objective-width",
             "feasible_point-float",
             "LinearProgram-float",
+            "maximize_each-wrong-objective-width",
+            "maximize_each-float",
         ],
     )
     def test_every_entry_point_rejects_malformed_input(self, call):
@@ -324,3 +330,95 @@ class TestKernel:
             feasible_point(rows, 2)
         with pytest.raises(InternalConsistencyError, match="violates row"):
             maximize(rows, (1, 0), 2)
+
+
+@st.composite
+def multi_objective_programs(draw):
+    """(num_vars, rows, objectives, nonneg): a ``linear_programs`` row system
+    with one to four objectives."""
+    num_vars, rows, _, nonneg = draw(linear_programs())
+    vector = st.tuples(*[int_or_fraction] * num_vars)
+    return num_vars, rows, draw(st.lists(vector, min_size=1, max_size=4)), nonneg
+
+
+class pivot_log:
+    """Context that records the (row, column) of every ``lp.pivot``."""
+
+    def __enter__(self):
+        self.pivots = []
+        self._patch = pytest.MonkeyPatch()
+        real = hcara.lp.pivot
+
+        def spy(rows, r, c):
+            self.pivots.append((r, c))
+            return real(rows, r, c)
+
+        self._patch.setattr(hcara.lp, "pivot", spy)
+        return self.pivots
+
+    def __exit__(self, *exc):
+        self._patch.undo()
+
+
+def lone_solves(num_vars, rows, objectives, nonneg):
+    """The phase-1 pivots, drive-out included, of the row system, and per
+    objective the outcome and phase-2 pivots of a lone ``maximize``."""
+    with pivot_log() as pivots:
+        feasible_point(rows, num_vars, nonneg)
+    phase1 = pivots[:]
+    solves = []
+    for objective in objectives:
+        with pivot_log() as pivots:
+            out = maximize(rows, objective, num_vars, nonneg)
+        assert pivots[:len(phase1)] == phase1
+        solves.append((out, pivots[len(phase1):]))
+    return phase1, solves
+
+
+# One program per outcome the entry must carry through: no rows, an
+# infeasible system, an unbounded objective beside a bounded one, and
+# redundant equalities whose rows the drive-out drops.
+@example((2, [], [(1, 0), (-1, 0)], True))
+@example((1, [((1,), GE, 1), ((-1,), GE, 0)], [(1,), (-1,)], False))
+@example((1, [((1,), GE, F(1, 2))], [(1,), (-1,)], False))
+@example((2, [((1, 1), EQ, 2), ((2, 2), EQ, 4), ((3, 3), EQ, 6)], [(1, 2), (2, 1), (-1, 0)], True))
+@example((3, [((-1, -2, 0), EQ, 0), ((1, 1, 1), LE, 3)], [(0, 1, 1), (1, 0, 0)], True))
+@settings(max_examples=300, deadline=None)
+@given(multi_objective_programs())
+def test_maximize_each_is_one_phase_1_and_the_lone_phase_2s(program):
+    """Every outcome equals a lone ``maximize``'s, and the pivots are one
+    phase 1 followed by each lone solve's phase-2 pivots, in order."""
+    num_vars, rows, objectives, nonneg = program
+    phase1, solves = lone_solves(num_vars, rows, objectives, nonneg)
+    with pivot_log() as pivots:
+        outcomes = list(maximize_each(rows, objectives, num_vars, nonneg))
+    assert [(o.status, o.witness, o.value) for o in outcomes] == [
+        (o.status, o.witness, o.value) for o, _ in solves
+    ]
+    assert pivots == phase1 + [p for _, phase2 in solves for p in phase2]
+    if outcomes[0].status is LpStatus.INFEASIBLE:
+        assert {o.status for o in outcomes} == {LpStatus.INFEASIBLE}
+        assert all(not phase2 for _, phase2 in solves)
+
+
+def test_maximize_each_examples_reach_every_status():
+    assert [o.status for o in maximize_each(
+        [((1,), GE, 1), ((-1,), GE, 0)], [(1,), (-1,)], 1
+    )] == [LpStatus.INFEASIBLE] * 2
+    assert [o.status for o in maximize_each([((1,), GE, F(1, 2))], [(1,), (-1,)], 1)] == [
+        LpStatus.UNBOUNDED, LpStatus.OPTIMAL
+    ]
+
+
+def test_maximize_each_runs_a_phase_2_only_when_read():
+    # the box [-1, 2] x [-1, 3]; every objective leaves phase 1's vertex
+    rows = [((1, 0), LE, 2), ((0, 1), LE, 3), ((-1, 0), LE, 1), ((0, -1), LE, 1)]
+    objectives = [(1, 0), (0, 1), (1, 1)]
+    phase1, solves = lone_solves(2, rows, objectives, False)
+    assert all(phase2 for _, phase2 in solves)
+    with pivot_log() as pivots:
+        outcomes = maximize_each(rows, objectives, 2)
+        assert pivots == []
+        first = next(outcomes)
+        assert pivots == phase1 + solves[0][1]
+    assert (first.witness, first.value) == (solves[0][0].witness, solves[0][0].value)

@@ -22,7 +22,7 @@ from hcara.experiment import ExperimentConfig, random_instance
 from hcara.hconvex import NormalSet, PointSet, h_hull_contains, support
 from hcara.invariants import caratheodory_number
 from hcara.linear import conic_dependences, dot, vadd, vneg, vscale
-from hcara.lp import maximize
+from hcara.lp import LpStatus, maximize
 from hcara.shapes import (
     cube_normals,
     cube_polytope,
@@ -517,28 +517,65 @@ class TestTablePath:
         def no_lp(*args, **kwargs):
             raise AssertionError("an LP was solved")
 
-        monkeypatch.setattr(hcara.strong, "maximize", no_lp)
+        monkeypatch.setattr(hcara.strong, "maximize_each", no_lp)
         monkeypatch.setattr(hcara.strong, "feasible_point", no_lp)
         assert [_outcome(minimal_strong_witness, *case) for case in cases] == expected
 
     def test_reference_path_still_solves_lps(self, monkeypatch):
+        # One call of the multi-objective entry with one objective per
+        # facet; a member reads every facet's optimum.
         calls = []
+        read = []
 
-        def spy(fn):
-            def counted(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return counted
+        def each(rows, objectives, num_vars, nonneg=False):
+            calls.append(("maximize_each", len(objectives)))
+            for outcome in hcara.lp.maximize_each(rows, objectives, num_vars, nonneg):
+                read.append(outcome.status)
+                yield outcome
 
-        monkeypatch.setattr(hcara.strong, "maximize", spy(hcara.strong.maximize))
-        monkeypatch.setattr(
-            hcara.strong, "feasible_point", spy(hcara.strong.feasible_point)
-        )
+        def point(*args, **kwargs):
+            calls.append(("feasible_point",))
+            return hcara.lp.feasible_point(*args, **kwargs)
+
+        monkeypatch.setattr(hcara.strong, "maximize_each", each)
+        monkeypatch.setattr(hcara.strong, "feasible_point", point)
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
         assert strong_hull_contains(CUBE2, X, (F(1), F(0)))
-        assert calls == ["maximize"] * len(CUBE2)
+        assert calls == [("maximize_each", len(CUBE2))]
+        assert read == [LpStatus.OPTIMAL] * len(CUBE2)
         assert fits_in_translate(CUBE2, X) is not None
-        assert calls[len(CUBE2):] == ["feasible_point"]
+        assert calls[1:] == [("feasible_point",)]
+
+    def test_first_violated_facet_ends_the_query(self, monkeypatch):
+        # X fits only in the square itself.  (2, 0) violates facet 0, x <= 1,
+        # so the query takes the region's phase 1 and facet 0's phase 2 and
+        # no later facet's; a member takes every facet's phase 2.
+        X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
+        rows = _translate_rows(CUBE2, [support(X, a) for a in CUBE2.normals])
+        pivots = []
+        real = hcara.lp.pivot
+
+        def spy(T, r, c):
+            pivots.append((r, c))
+            return real(T, r, c)
+
+        def run(solve, *args):
+            pivots.clear()
+            return solve(*args), pivots[:]
+
+        monkeypatch.setattr(hcara.lp, "pivot", spy)
+        _, phase1 = run(hcara.lp.feasible_point, rows, 2)
+        lone = [run(maximize, rows, vneg(a), 2)[1] for a in CUBE2.normals]
+        assert all(p[:len(phase1)] == phase1 for p in lone)
+        phase2 = [p[len(phase1):] for p in lone]
+        assert phase2[0]
+        assert run(strong_hull_contains, CUBE2, X, (F(2), F(0))) == (
+            False, phase1 + phase2[0]
+        )
+        member, taken = run(strong_hull_contains, CUBE2, X, (F(1), F(0)))
+        assert member
+        assert taken == phase1 + [p for q in phase2 for p in q]
+        assert len(taken) > len(phase1) + len(phase2[0])
 
 
 class TestFits:
