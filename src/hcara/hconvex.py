@@ -39,9 +39,10 @@ class NormalSet:
 
     Construction collapses normals that are positive multiples of one another,
     keeping the first occurrence, so indices always refer to the collapsed
-    list.  ``conic_dependences`` is the normals' table when the ``Polytope``
-    that built the set attached its own, and None on a set built directly,
-    which caches nothing.
+    list.  ``conic_dependences`` is the normals' int table
+    (``linear.conic_dependences``) when the ``Polytope`` that built the set
+    attached its own, the same object as the polytope's, and None on a set
+    built directly, which caches nothing.
     """
 
     dim: int

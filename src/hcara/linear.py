@@ -188,26 +188,28 @@ def solve_linear(rows, rhs) -> Vector | None:
 
 def conic_dependences(vectors):
     """The conic-dependence table ``(circuits, reps)`` of nonzero vectors
-    a_0, ..., a_{m-1} in R^d, as tuples, so a cached table can be shared.
+    a_0, ..., a_{m-1} in R^d, as tuples, so a cached table can be shared;
+    every entry is ints.
 
     ``circuits`` lists ``(S, mu)`` for every index set S whose vanishing
     combinations form the line spanned by a strictly positive ``mu``
     (primitive ints): the minimal positively dependent subsets, which
     generate the cone {mu >= 0 : sum mu_j a_j = 0}.  ``reps[i]`` lists
-    ``(B, lam)`` for every linearly independent B and ``lam > 0`` with
-    a_i = sum lam_j a_j, the trivial ``((i,), (1,))`` first: the vertices of
-    {lam >= 0 : sum lam_j a_j = a_i}.  Index sets are increasing tuples and
-    both lists are in (size, lexicographic) order, apart from the trivial
-    representation, which stays first even when a parallel a_j with j < i
-    gives a one-element representation too.
+    ``(B, lam, d)`` for every linearly independent B and ints lam > 0, d > 0
+    with d a_i = sum lam_j a_j, primitive together, the trivial
+    ``((i,), (1,), 1)`` first: the vertices of {lam >= 0 : sum lam_j a_j = a_i}
+    are the lam / d.  Index sets are increasing tuples and both lists are in
+    (size, lexicographic) order, apart from the trivial representation, which
+    stays first even when a parallel a_j with j < i gives a one-element
+    representation too.
 
     One pass over the linearly independent B with |B| <= d, depth first, so
     each B extends its prefix's fraction-free Gauss-Jordan elimination of the
     d x m matrix whose columns are all the a_j.  Every a_i in the span of B is
     then a right-hand side solved for free: lam > 0 is a representation of i,
     lam < 0 everywhere is the circuit B + {i}.  The signs are read off the
-    int elimination, so only accepted entries become Fractions, and every
-    entry is checked by substitution in ints.
+    int elimination, one lcm of the pivots clears both kinds of entry, and
+    every entry is checked by substitution in ints.
     """
     vectors = exact_vectors(vectors, "conic_dependences")
     if not vectors:
@@ -219,7 +221,17 @@ def conic_dependences(vectors):
     cleared = [clear_denominators(v) for v in vectors]
     scale = [s for _, s in cleared]
     circuits = {}
-    reps = [[((i,), (Fraction(1),))] for i in range(m)]
+    reps = [[((i,), (1,), 1)] for i in range(m)]
+
+    def on_basis(M, B, i, col):
+        """Primitive ints (lam, d), d > 0, with d a_i = sum lam_r a_{B[r]}:
+        the column times D s_i, D the lcm of the pivots."""
+        D = lcm(*(M[r][j] for r, j in enumerate(B)))
+        row = reduced_row(
+            [x * scale[j] * (D // M[r][j]) for r, (j, x) in enumerate(zip(B, col))]
+            + [D * scale[i]]
+        )
+        return tuple(row[:-1]), row[-1]
 
     def visit(M, B):
         k = len(B)
@@ -231,22 +243,14 @@ def conic_dependences(vectors):
             # the pivots M[r][j] are positive, so each sign is M[r][i]'s.
             col = [M[r][i] for r in range(k)]
             if all(x > 0 for x in col):
-                lam = tuple(
-                    Fraction(x * scale[j], M[r][j] * scale[i])
-                    for r, (j, x) in enumerate(zip(B, col))
-                )
-                reps[i].append((B, lam))
+                reps[i].append((B, *on_basis(M, B, i, col)))
             elif all(x < 0 for x in col):
                 S = tuple(sorted(B + (i,)))
                 if S not in circuits:
-                    # mu = (-lam, 1) times d s_i, d the lcm of the pivots
-                    d = lcm(*(M[r][j] for r, j in enumerate(B)))
-                    mu = {
-                        j: -x * scale[j] * (d // M[r][j])
-                        for r, (j, x) in enumerate(zip(B, col))
-                    }
-                    mu[i] = d * scale[i]
-                    circuits[S] = tuple(reduced_row([mu[j] for j in S]))
+                    lam, d = on_basis(M, B, i, col)
+                    mu = dict(zip(B, (-x for x in lam)))
+                    mu[i] = d
+                    circuits[S] = tuple(mu[j] for j in S)
         if k == dim:
             return
         for c in range(B[-1] + 1 if B else 0, m):
@@ -272,9 +276,8 @@ def conic_dependences(vectors):
             raise InternalConsistencyError(f"circuit {S} does not vanish")
     for i, entries in enumerate(reps):
         entries.sort(key=lambda e: (e[0] != (i,), len(e[0]), e[0]))
-        for B, lam in entries:
-            nums, den = clear_denominators(lam)
-            if combination(B, nums) != [den * x for x in W[i]]:
+        for B, lam, d in entries:
+            if combination(B, lam) != [d * x for x in W[i]]:
                 raise InternalConsistencyError(f"representation {B} of {i} is wrong")
     ordered = sorted(circuits.items(), key=lambda e: (len(e[0]), e[0]))
     return tuple(ordered), tuple(tuple(entries) for entries in reps)

@@ -15,14 +15,16 @@ Two paths decide this, and each checks the other:
   row system, so ``lp.maximize_each`` runs one phase 1 for all of them and a
   phase 2 per facet only until the first violated facet;
 * the conic-dependence table of the normals (``linear.conic_dependences``),
-  built once per polytope and read in ints through its ``int_view`` by
-  ``minimal_strong_witness`` and ``shrink_intervals``, with no LP.  By
-  Farkas, X fits exactly when <mu_S, c_S> >= 0 for every circuit S; by LP
-  duality the facet maximum is the least <lam_B, c_B> over the
-  representations B of a_i, so p is in the hull exactly when every a_i has a
-  representation with <a_i, p> - b_i + <lam_B, c_B> <= 0.  Scaling X by eps
-  scales its supports, so the same rules give, for each subset, the interval
-  of eps at which the origin lies in the hull of eps times it.
+  all ints and built once per polytope, read by ``minimal_strong_witness``
+  and ``shrink_intervals`` with no LP.  By Farkas, X fits exactly when
+  <mu_S, c_S> >= 0 for every circuit S; by LP duality the facet maximum is
+  the least <lam_B, c_B> / d over the representations d a_i = sum lam_j a_j,
+  so p is in the hull exactly when every a_i has a representation with
+  d (<a_i, p> - b_i) + <lam_B, c_B> <= 0.  Both searches take the supports
+  and offsets times one common L > 0 as ints (``_levels``), so every test is
+  an integer inequality.  Scaling X by eps scales its supports, so the same
+  rules give, for each subset, the interval of eps at which the origin lies
+  in the hull of eps times it.
 
 K bounded makes the region bounded, so the optima exist.  ``Polytope``
 construction reads its own validity checks off the same table, with no LP.
@@ -32,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
-from .hconvex import NormalSet, PointSet, h_hull_contains, support
+from .hconvex import NormalSet, PointSet, support
 from .jsonio import (
     positive_int,
     rational_from_json,
@@ -62,17 +64,8 @@ __all__ = [
 
 def _weighted(indices, coeffs, values):
     """sum of coeffs[k] * values[indices[k]]: a table entry applied to a
-    per-row vector such as the offsets, in Fractions or in ints."""
+    per-row vector such as the offsets."""
     return sum(x * values[j] for j, x in zip(indices, coeffs))
-
-
-def _on_rows(indices, coeffs, sigma, scale=1):
-    """Ints ``(lam, d)`` with d > 0 and scale * sum coeffs_k a_j equal to
-    sum (lam_k / d) A_j, j = indices[k], for the int rows A_j = sigma_j a_j."""
-    dens = [x.denominator * sigma[j] for j, x in zip(indices, coeffs)]
-    d = lcm(*dens)
-    g = gcd(scale, d)
-    return [scale // g * x.numerator * (d // e) for x, e in zip(coeffs, dens)], d // g
 
 
 def spans_positively(normals, dim, table) -> bool:
@@ -94,7 +87,7 @@ def redundant_rows(offsets, table) -> list[int]:
     conic-dependence table of the normals of rows with nonempty interior.
 
     By LP duality the maximum of <a_i, x> under the other rows is the least
-    <lam, b_B> over the nontrivial representations (B, lam) of a_i, or
+    <lam, b_B> / d over the nontrivial representations (B, lam, d) of a_i, or
     unbounded when there is none.  Simultaneous deletion of all reported rows
     is sound only when no two rows describe the same halfspace (equal up to
     positive scaling): a doubly represented facet flags both copies.
@@ -102,7 +95,7 @@ def redundant_rows(offsets, table) -> list[int]:
     _, reps = table
     return [
         i for i, entries in enumerate(reps)
-        if any(_weighted(B, lam, offsets) <= offsets[i] for B, lam in entries[1:])
+        if any(_weighted(B, lam, offsets) <= d * offsets[i] for B, lam, d in entries[1:])
     ]
 
 
@@ -116,13 +109,9 @@ class Polytope:
     (<mu_S, b_S> > 0 for every circuit S, by Gordan), and every row a facet
     (``redundant_rows``), in that order.  Every row being a facet, no two
     normals are positive multiples, so the normal set H of K, built once and
-    handed out by ``normal_set()``, keeps K's normals and indices.  The table,
-    ``linear.conic_dependences`` of the facet normals, stays on K and on H as
-    the attribute ``conic_dependences``, and ``int_view`` is the same table over
-    the rows cleared to ints A_i = sigma_i a_i: ``(rows, beta, den, circuits,
-    reps)`` with beta_i / den = sigma_i b_i, sum mu_j A_j = 0 for each circuit
-    (S, mu), and delta A_i = sum Lam_j A_j for each representation
-    (B, Lam, delta) in ``reps[i]``, the trivial one first; all ints.
+    handed out by ``normal_set()``, keeps K's normals and indices.  The one
+    table, ``linear.conic_dependences`` of the facet normals as given and all
+    ints, stays on K and on H as the attribute ``conic_dependences``.
     """
 
     dim: int
@@ -149,22 +138,8 @@ class Polytope:
         bad = redundant_rows(offsets, table)
         if bad:
             raise InputError(f"rows {bad} are redundant, not facets")
-        cleared = [clear_denominators(a) for a in normals]
-        sigma = [s for _, s in cleared]
-        beta, den = clear_denominators([s * b for s, b in zip(sigma, offsets)])
-        circuits, reps = table
         # not fields, so equality and hashing ignore them
         object.__setattr__(self, "conic_dependences", table)
-        object.__setattr__(self, "int_view", (
-            tuple(tuple(ints) for ints, _ in cleared),
-            beta,
-            den,
-            tuple((S, _on_rows(S, mu, sigma)[0]) for S, mu in circuits),
-            tuple(
-                tuple((B, *_on_rows(B, lam, sigma, sigma[i])) for B, lam in entries)
-                for i, entries in enumerate(reps)
-            ),
-        ))
         object.__setattr__(H, "conic_dependences", table)
         object.__setattr__(self, "_normal_set", H)
 
@@ -259,14 +234,18 @@ def strong_hull_contains(K: Polytope, X: PointSet, p: Vector) -> bool:
 
 
 def _levels(K: Polytope, points):
-    """L beta and, per row i, L <A_i, x> for each of the points, all ints,
-    for the least L that clears beta and the points' coordinates."""
-    rows, beta, den, _, _ = K.int_view
-    flat, q = clear_denominators([c for x in points for c in x])
-    L = lcm(den, q)
-    xs = [[L // q * v for v in flat[k:k + K.dim]] for k in range(0, len(flat), K.dim)]
+    """L b and, per row i, L <a_i, x> for each of the points, all ints, for
+    one common L > 0.  The normal coordinates share one denominator, and so
+    do the points', so every inner product is an int dot product."""
+    dim = K.dim
+    flat_a, qa = clear_denominators([c for a in K.normals for c in a])
+    flat_x, qx = clear_denominators([c for x in points for c in x])
+    offsets, qb = clear_denominators(K.offsets)
+    L = lcm(qa * qx, qb)
+    rows = [flat_a[k:k + dim] for k in range(0, len(flat_a), dim)]
+    xs = [[L // (qa * qx) * v for v in flat_x[k:k + dim]] for k in range(0, len(flat_x), dim)]
     return (
-        [L // den * b for b in beta],
+        [L // qb * b for b in offsets],
         [[sum(a * v for a, v in zip(A, x)) for x in xs] for A in rows],
     )
 
@@ -275,13 +254,13 @@ def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
     """Minimum-cardinality subset of X whose hull under K still contains p,
     by exhaustive search in (size, lexicographic index) order.
 
-    Decided in ints from ``K.int_view``, with no LP: with s the supports of a
-    subset, C = L(beta - s) and E_i = L(<A_i, p> - beta_i), the subset fits
-    exactly when <mu, C_S> >= 0 for every circuit, and then p is in its hull
-    exactly when every i has a representation with delta E_i + <Lam, C_B> <= 0.
+    Decided in ints from ``K.conic_dependences``, with no LP: with s the
+    supports of a subset, C = L(b - s) and E_i = L(<a_i, p> - b_i), the subset
+    fits exactly when <mu, C_S> >= 0 for every circuit, and then p is in its
+    hull exactly when every i has a representation with d E_i + <lam, C_B> <= 0.
     """
     p = _query(K, X, p)
-    *_, circuits, reps = K.int_view
+    circuits, reps = K.conic_dependences
     lb, levels = _levels(K, X.points + (p,))
     E = [row[-1] - b for row, b in zip(levels, lb)]
 
@@ -311,13 +290,13 @@ def shrink_intervals(K: Polytope, X: PointSet):
 
     Scaling Y scales its supports, so, with S = L s(Y) and the rules of
     :func:`minimal_strong_witness` in ints: a circuit with <mu, S_S> > 0
-    bounds eps by <mu, L beta_S> / <mu, S_S>; for S_i < 0 a nontrivial
-    representation of a_i holds exactly when <Lam, S_B> > 0 and eps >=
-    (<Lam, L beta_B> - delta L beta_i) / <Lam, S_B>, a positive bound since
-    every row is a facet.
+    bounds eps by <mu, L b_S> / <mu, S_S>; for S_i < 0 a nontrivial
+    representation of a_i holds exactly when <lam, S_B> > 0 and eps >=
+    (<lam, L b_B> - d L b_i) / <lam, S_B>, a positive bound since every row
+    is a facet.
     """
     _check_joint(K, X)
-    *_, circuits, reps = K.int_view
+    circuits, reps = K.conic_dependences
     lb, levels = _levels(K, X.points)
     out = []
     for k in range(1, len(X) + 1):
@@ -341,22 +320,18 @@ def guard_assignment(K: Polytope, X: PointSet, p: Vector):
     <a, x> >= <a, p> and <a, x> > <a, y> for every other y in X.
 
     Returns the full map {point index: normal index} or None when some point
-    has no such normal.
+    has no such normal.  Compares the int levels L <a, x> of ``_levels``,
+    which order as the inner products do since L > 0.
     """
     p = _query(K, X, p)
+    _, levels = _levels(K, X.points + (p,))
+    n = len(X)
     out = {}
-    for j, x in enumerate(X.points):
-        found = None
-        for i, a in enumerate(K.normals):
-            if dot(a, x) < dot(a, p):
-                continue
-            if all(
-                dot(a, x) > dot(a, y)
-                for jj, y in enumerate(X.points)
-                if jj != j
-            ):
-                found = i
-                break
+    for j in range(n):
+        found = next((
+            i for i, row in enumerate(levels)
+            if row[j] >= row[n] and all(row[j] > row[k] for k in range(n) if k != j)
+        ), None)
         if found is None:
             return None
         out[j] = found
@@ -367,10 +342,15 @@ def h_subset_strong_check(K: Polytope, X: PointSet, p: Vector) -> bool:
     """Probe of the containment of the normal-restricted hull in the
     translate-intersection hull: membership in the former must imply
     membership in the latter.  Always true mathematically; exercised as a
-    runtime property."""
-    _check_joint(K, X)
-    if h_hull_contains(K.normal_set(), X, p):
-        return strong_hull_contains(K, X, p)
-    if fits_in_translate(K, X) is None:
+    runtime property.
+
+    The supports of X on K's normals are computed once: p is in the
+    restricted hull exactly when <a_i, p> <= s_i for every i, and the same
+    supports then feed the facet LPs, or the fit LP when p is outside."""
+    p = _query(K, X, p)
+    supports = [support(X, a) for a in K.normals]
+    if all(dot(a, p) <= s for a, s in zip(K.normals, supports)):
+        return _member_with_supports(K, supports, p)
+    if feasible_point(_translate_rows(K, supports), K.dim, nonneg=False) is None:
         raise PreconditionError("X does not fit in any translate of K")
     return True

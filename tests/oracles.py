@@ -14,7 +14,9 @@ shares no code with the conic-dependence table that ``helly_number`` reads.
 ``hconvex.point_set_verdicts`` reads off one sign matrix.  ``tight_supports``
 reads the strong hull's supports off ``Polytope.conic_dependences`` in
 ``Fraction`` sums, the values that the facet LPs must reach and that the
-integer view of the table decides without computing.
+integer search over the same table decides without computing.
+``brute_caratheodory`` is the Caratheodory number from its definition, with
+``fraction_simplex`` and a search over covers, against the paper's theorem.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +25,7 @@ from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.hconvex import PointSet
 from hcara.invariants import is_conical_position, positive_hull_contains
 from hcara.linear import Vector, clear_denominators, dot
-from hcara.lp import EQ, LE, LpStatus, feasible_point, maximize
+from hcara.lp import EQ, GE, LE, LpStatus, feasible_point, maximize
 from hcara.strong import Polytope, _member_with_supports, strong_hull_contains
 
 _Q0 = Fraction(0)
@@ -125,6 +127,46 @@ def brute_point_set_verdicts(H, X):
     return covering, drop_one, tuple(chosen)
 
 
+def brute_caratheodory(H):
+    """The Caratheodory number of H from the definition: the largest
+    minimum-size witness of p in the restricted hull of X.
+
+    Translated so that p = 0, X witnesses exactly when every normal sees a
+    point of X nonnegatively, so a minimum witness is an irredundant cover of
+    H by sign sets S(x) = {i : <a_i, x> >= 0}: each member has a normal no
+    other member holds.  T is some S(x) exactly when <a_i, x> >= 0 (i in T)
+    and <a_i, x> <= -1 (i not in T) is feasible, as the system is
+    homogeneous; ``fraction_simplex`` decides it.  Subfamilies of an
+    irredundant family are irredundant, so a depth-first search that adds
+    sign sets in order and drops a family once some member loses its last
+    private normal meets every irredundant cover.
+    """
+    m = len(H.normals)
+    signs = []
+    for T in range(1 << m):
+        rows = [
+            (a, GE, _Q0) if T >> i & 1 else (a, LE, -_Q1)
+            for i, a in enumerate(H.normals)
+        ]
+        if fraction_simplex(H.dim, rows, None, nonneg=False)[0] == "feasible":
+            signs.append(T)
+    everything = (1 << m) - 1
+    best = 0
+
+    def extend(start, covered, private):
+        nonlocal best
+        if covered == everything:
+            best = max(best, len(private))
+        for k in range(start, len(signs)):
+            T = signs[k]
+            kept = [own & ~T for own in private]
+            if T & ~covered and all(kept):
+                extend(k + 1, covered | T, kept + [T & ~covered])
+
+    extend(0, 0, [])
+    return best
+
+
 def brute_spans_positively(normals, dim):
     """Positive spanning straight from the definition: both directions of
     every coordinate axis lie in the positive hull of the normals."""
@@ -140,7 +182,8 @@ def brute_conic_dependences(vectors):
     """``linear.conic_dependences`` from the definitions: circuits are the
     subsets ``brute_simplex_with_origin`` accepts, and a representation of
     a_i is a linearly independent B with i not in B whose unique solution of
-    sum lam_j a_j = a_i is strictly positive."""
+    sum lam_j a_j = a_i is strictly positive, emitted as ``(B, nums, d)`` with
+    lam = nums / d cleared of denominators."""
     vectors = [tuple(Fraction(c) for c in v) for v in vectors]
     dim = len(vectors[0])
     circuits = [
@@ -150,7 +193,7 @@ def brute_conic_dependences(vectors):
     reps = []
     for i, a in enumerate(vectors):
         others = [j for j in range(len(vectors)) if j != i]
-        found = [((i,), (_Q1,))]
+        found = [((i,), (1,), 1)]
         for k in range(1, dim + 1):
             for B in combinations(others, k):
                 basis = [vectors[j] for j in B]
@@ -158,7 +201,8 @@ def brute_conic_dependences(vectors):
                     continue
                 lam = gram_solve_linear([tuple(v[d] for v in basis) for d in range(dim)], a)
                 if lam is not None and all(x > 0 for x in lam):
-                    found.append((B, lam))
+                    nums, d = clear_denominators(lam)
+                    found.append((B, tuple(nums), d))
         reps.append(found)
     return circuits, reps
 
@@ -216,7 +260,7 @@ def lp_minimal_strong_witness(K: Polytope, X: PointSet, p):
 
 def tight_supports(K: Polytope, supports):
     """The supports raised to the strong hull's: b_i - min over the
-    representations (B, lam) of a_i of <lam, c_B>, with c = b - supports;
+    representations (B, lam, d) of a_i of <lam, c_B> / d, with c = b - supports;
     None when X fits in no translate, i.e. <mu, c_S> < 0 for some circuit S.
     p is in the strong hull exactly when <a_i, p> <= tight_i for every i."""
     circuits, reps = K.conic_dependences
@@ -228,7 +272,7 @@ def tight_supports(K: Polytope, supports):
     if any(weighted(S, mu) < 0 for S, mu in circuits):
         return None
     return [
-        b - min(weighted(B, lam) for B, lam in entries)
+        b - min(weighted(B, lam) / d for B, lam, d in entries)
         for b, entries in zip(K.offsets, reps)
     ]
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_normal_sets
+from conftest import named_normal_sets, random_normal_sets
 from oracles import (
+    brute_caratheodory,
     brute_cone,
     brute_helly,
     brute_relaxed_cone,
@@ -324,3 +325,36 @@ class TestAgainstBruteForce:
         monkeypatch.setattr(hcara.invariants, "is_simplex_with_origin", no_subset_test)
         for name, H in corpus_normal_sets:
             assert helly_number(H) == brute_helly(H), name
+
+
+@st.composite
+def small_normal_sets(draw):
+    """NormalSets of 1 to 6 int normals in dims 2 and 3."""
+    dim = draw(st.sampled_from((2, 3)))
+    coordinates = st.tuples(*([st.integers(-2, 2)] * dim)).filter(any)
+    return NormalSet(dim, tuple(draw(st.lists(coordinates, min_size=1, max_size=6))))
+
+
+class TestCaratheodoryDefinition:
+    """The paper's theorem, Caratheodory(H) = max(helly, cone), against the
+    definition of the Caratheodory number (``oracles.brute_caratheodory``)."""
+
+    def test_one_sided_set_needs_the_emptiness_condition(self):
+        # The relaxed cone number is 4 here; the cone number's emptiness
+        # condition is what brings the answer down to 3.
+        H = NormalSet(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)))
+        r = caratheodory_number(H)
+        assert brute_caratheodory(H) == r.caratheodory == 3
+        assert r.relaxed_cone == 4
+
+    @pytest.mark.parametrize(
+        "name", [name for name, H in named_normal_sets() if H.dim <= 3]
+    )
+    def test_named_sets(self, name):
+        H = dict(named_normal_sets())[name]
+        assert brute_caratheodory(H) == caratheodory_number(H).caratheodory
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_normal_sets())
+    def test_agrees_with_definition(self, H):
+        assert brute_caratheodory(H) == caratheodory_number(H).caratheodory

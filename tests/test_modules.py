@@ -1,10 +1,13 @@
 """Every annotation in the package resolves to a defined name, standing in
 for a linter's undefined-name check (``from __future__ import annotations``
-defers the lookup until something asks for the hints)."""
+defers the lookup until something asks for the hints), and every function
+the benchmark traces exists."""
 import importlib
 import inspect
 import pkgutil
+import runpy
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,16 @@ def test_type_hints_resolve(name):
     module = importlib.import_module(f"hcara.{name}")
     for obj in _annotated(module):
         typing.get_type_hints(obj)
+
+
+def test_benchmark_traces_only_existing_functions():
+    """``bench/tracing.py`` wraps every name in ``TRACED`` with a ``getattr``
+    on its hcara module, so deleting one breaks the benchmark."""
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+    missing = [
+        f"hcara.{layer}.{name}"
+        for layer, names in tracing["TRACED"].items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"hcara.{layer}"), name, None))
+    ]
+    assert tracing["TRACED"] and not missing

@@ -305,22 +305,20 @@ class TestConicDependences:
     def test_cube(self):
         circuits, reps = cube_polytope(3).conic_dependences
         assert circuits == (((0, 1), (1, 1)), ((2, 3), (1, 1)), ((4, 5), (1, 1)))
-        assert reps == tuple((((i,), (1,)),) for i in range(6))
+        assert reps == tuple((((i,), (1,), 1),) for i in range(6))
 
     def test_triangle(self):
         circuits, reps = triangle_polytope().conic_dependences
         assert circuits == (((0, 1, 2), (1, 1, 1)),)
-        assert reps == tuple((((i,), (1,)),) for i in range(3))
+        assert reps == tuple((((i,), (1,), 1),) for i in range(3))
 
     def test_representations_and_circuits(self):
         circuits, reps = conic_dependences([(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 2)])
         assert circuits == (
             ((2, 3), (1, 1)), ((0, 1, 2), (1, 1, 1)), ((0, 2, 4), (3, 2, 1)),
         )
-        assert reps[1] == (
-            ((1,), (1,)), ((0, 4), (F(1, 2), F(1, 2))), ((3, 4), (F(1, 3), F(1, 3))),
-        )
-        assert reps[3] == (((3,), (1,)), ((0, 1), (1, 1)), ((0, 4), (F(3, 2), F(1, 2))))
+        assert reps[1] == (((1,), (1,), 1), ((0, 4), (1, 1), 2), ((3, 4), (1, 1), 3))
+        assert reps[3] == (((3,), (1,), 1), ((0, 1), (1, 1), 1), ((0, 4), (3, 1), 2))
 
     def test_empty(self):
         assert conic_dependences([]) == ((), ())
@@ -330,21 +328,10 @@ class TestConicDependences:
         with pytest.raises(InputError):
             conic_dependences(vectors)
 
-    def test_agrees_with_definitions(self):
-        sets = [H for _, H in named_normal_sets()]
-        sets += random_normal_sets(40, seed=6, max_dim=4)
-        for H in sets:
-            circuits, reps = conic_dependences(H.normals)
-            brute_circuits, brute_reps = brute_conic_dependences(H.normals)
-            assert [S for S, _ in circuits] == brute_circuits
-            assert [list(entries) for entries in reps] == brute_reps
-
-
-class TestIntView:
-    """``Polytope.int_view`` is the table over the rows cleared to ints."""
-
     @staticmethod
     def polytopes():
+        """The named polytopes and 20 ``random_instance`` ones in dims 2 and 3,
+        some of whose normals have fractional coordinates."""
         out = [K for _, K, _ in named_polytopes()]
         for seed in range(10):
             for dim in (2, 3):
@@ -355,36 +342,37 @@ class TestIntView:
                 out.append(random_instance(config, 0)[0])
         return out
 
-    def test_entries_hold_by_substitution(self):
+    def test_agrees_with_definitions(self):
+        sets = [H for _, H in named_normal_sets()]
+        sets += random_normal_sets(40, seed=6, max_dim=4)
         polytopes = self.polytopes()
         assert any(c.denominator > 1 for K in polytopes for a in K.normals for c in a)
-        for K in polytopes:
-            rows, beta, den, circuits, reps = K.int_view
-            table_circuits, table_reps = K.conic_dependences
+        tables = [(H.normals, conic_dependences(H.normals)) for H in sets]
+        tables += [(K.normals, K.conic_dependences) for K in polytopes]
+        for normals, (circuits, reps) in tables:
+            brute_circuits, brute_reps = brute_conic_dependences(normals)
+            assert [S for S, _ in circuits] == brute_circuits
+            assert [list(entries) for entries in reps] == brute_reps
+            _assert_int_entries(normals, circuits, reps)
 
-            def combination(indices, coeffs):
-                return [
-                    sum(c * rows[j][t] for j, c in zip(indices, coeffs))
-                    for t in range(K.dim)
-                ]
 
-            for A, a, b, bb in zip(rows, K.normals, K.offsets, beta):
-                assert all(type(v) is int for v in A)
-                sigma = next(v / c for v, c in zip(A, a) if c)
-                assert sigma > 0 and sigma.denominator == 1
-                assert tuple(sigma * c for c in a) == A
-                assert F(bb, den) == sigma * b
-            assert [S for S, _ in circuits] == [S for S, _ in table_circuits]
-            for S, mu in circuits:
-                assert all(type(x) is int and x > 0 for x in mu)
-                assert combination(S, mu) == [0] * K.dim
-            for i, (entries, table_entries) in enumerate(zip(reps, table_reps)):
-                assert [B for B, _, _ in entries] == [B for B, _ in table_entries]
-                assert entries[0] == ((i,), [1], 1)
-                for B, lam, delta in entries:
-                    assert type(delta) is int and delta > 0
-                    assert all(type(x) is int and x > 0 for x in lam)
-                    assert combination(B, lam) == [delta * v for v in rows[i]]
+def _assert_int_entries(normals, circuits, reps):
+    """Every coefficient of the table is an int, and every entry holds by
+    substitution into the normals as given."""
+    dim = len(normals[0])
+
+    def combination(indices, coeffs):
+        return tuple(sum(c * normals[j][t] for j, c in zip(indices, coeffs)) for t in range(dim))
+
+    for S, mu in circuits:
+        assert all(type(x) is int and x > 0 for x in mu)
+        assert combination(S, mu) == (0,) * dim
+    for i, entries in enumerate(reps):
+        assert entries[0] == ((i,), (1,), 1)
+        for B, lam, d in entries:
+            assert type(d) is int and d > 0
+            assert all(type(x) is int and x > 0 for x in lam)
+            assert combination(B, lam) == tuple(d * c for c in normals[i])
 
 
 @st.composite
@@ -423,7 +411,7 @@ def _outcome(search, K, X, p):
 
 
 def _int_member(K, X, p):
-    """Membership of p in the strong hull of X read off ``K.int_view`` by
+    """Membership of p in the strong hull of X read off the int table by
     ``minimal_strong_witness``, which decides the whole of X first; None
     when X fits in no translate."""
     outcome = _outcome(minimal_strong_witness, K, X, p)
@@ -467,6 +455,27 @@ class TestTablePath:
         assert _member_with_supports(self.PENTAGON, supports, p)
         assert _int_member(self.PENTAGON, X, p) is True
         assert minimal_strong_witness(self.PENTAGON, X, p) == X
+
+    # The positive quadrant under 2x + y <= 3, x + 2y <= 3 and x + y <= 9/5:
+    # 3 (1, 1) = (2, 1) + (1, 2), a representation with d = 3.
+    QUADRANT = Polytope(
+        2, ((2, 1), (1, 2), (1, 1), (-1, 0), (0, -1)), (3, 3, F(9, 5), 0, 0)
+    )
+
+    @pytest.mark.parametrize("X, p, member", [
+        (((F(1, 10), F(7, 5)), (F(11, 10), F(2, 5))), (F(7, 10), F(9, 10)), True),
+        (((F(13, 10), F(9, 5)), (F(7, 10), F(3, 5))), (F(8, 5), F(8, 5)), False),
+    ])
+    def test_representation_denominator_decides(self, X, p, member):
+        # Each verdict turns on the d = 3 representation of x + y <= 9/5;
+        # read with d = 1 it would flip.
+        K = self.QUADRANT
+        assert ((0, 1), (1, 1), 3) in K.conic_dependences[1][2]
+        X = PointSet(2, X)
+        supports = [support(X, a) for a in K.normals]
+        assert tight_supports(K, supports) == _facet_lp_supports(K, supports)
+        assert _member_with_supports(K, supports, p) is member
+        assert _int_member(K, X, p) is member
 
     @settings(max_examples=120, deadline=None)
     @given(strong_cases())
@@ -723,6 +732,22 @@ class TestGuards:
         guards = guard_assignment(CUBE2, X, (F(0), F(0)))
         assert guards == {0: 0}
 
+    @settings(max_examples=60, deadline=None)
+    @given(strong_cases())
+    def test_agrees_with_inner_products(self, case):
+        K, X, queries = case
+        for p in queries:
+            expected = {}
+            for j, x in enumerate(X.points):
+                expected[j] = next((
+                    i for i, a in enumerate(K.normals)
+                    if dot(a, x) >= dot(a, p)
+                    and all(dot(a, x) > dot(a, y) for k, y in enumerate(X.points) if k != j)
+                ), None)
+            if None in expected.values():
+                expected = None
+            assert guard_assignment(K, X, p) == expected
+
 
 class TestHullImplication:
     @settings(max_examples=40, deadline=None)
@@ -743,3 +768,23 @@ class TestHullImplication:
     def test_member_point_trivially_ok(self):
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
         assert h_subset_strong_check(CUBE2, X, (F(1), F(1)))
+
+    @pytest.mark.parametrize("p,inside", [((F(1), F(0)), True), ((F(3), F(0)), False)])
+    def test_supports_computed_once(self, monkeypatch, p, inside):
+        # One support per normal decides the restricted hull, then the facet
+        # LPs (p inside) or the fit LP (p outside) take the same supports.
+        X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(hcara.strong, name, wrapped)
+
+        for name in ("support", "maximize_each", "feasible_point"):
+            spy(name, getattr(hcara.strong, name))
+        assert h_hull_contains(CUBE2.normal_set(), X, p) is inside
+        assert h_subset_strong_check(CUBE2, X, p)
+        lp = "maximize_each" if inside else "feasible_point"
+        assert calls == ["support"] * len(CUBE2) + [lp]
