@@ -328,6 +328,22 @@ class TestConicDependences:
         with pytest.raises(InputError):
             conic_dependences(vectors)
 
+    def test_agrees_with_definitions(self):
+        sets = [H for _, H in named_normal_sets()]
+        sets += random_normal_sets(40, seed=6, max_dim=4)
+        tables = [(H.normals, conic_dependences(H.normals)) for H in sets]
+        tables += [(K.normals, K.conic_dependences) for K in TestIntView.polytopes()]
+        for normals, (circuits, reps) in tables:
+            brute_circuits, brute_reps = brute_conic_dependences(normals)
+            assert [S for S, _ in circuits] == brute_circuits
+            assert [list(entries) for entries in reps] == brute_reps
+            _assert_int_entries(normals, circuits, reps)
+
+
+class TestIntView:
+    """``Polytope.conic_dependences`` is all ints over the normals as given,
+    fractional coordinates included."""
+
     @staticmethod
     def polytopes():
         """The named polytopes and 20 ``random_instance`` ones in dims 2 and 3,
@@ -342,18 +358,13 @@ class TestConicDependences:
                 out.append(random_instance(config, 0)[0])
         return out
 
-    def test_agrees_with_definitions(self):
-        sets = [H for _, H in named_normal_sets()]
-        sets += random_normal_sets(40, seed=6, max_dim=4)
+    def test_entries_hold_by_substitution(self):
         polytopes = self.polytopes()
         assert any(c.denominator > 1 for K in polytopes for a in K.normals for c in a)
-        tables = [(H.normals, conic_dependences(H.normals)) for H in sets]
-        tables += [(K.normals, K.conic_dependences) for K in polytopes]
-        for normals, (circuits, reps) in tables:
-            brute_circuits, brute_reps = brute_conic_dependences(normals)
-            assert [S for S, _ in circuits] == brute_circuits
-            assert [list(entries) for entries in reps] == brute_reps
-            _assert_int_entries(normals, circuits, reps)
+        for K in polytopes:
+            circuits, reps = K.conic_dependences
+            assert len(reps) == len(K.normals)
+            _assert_int_entries(K.normals, circuits, reps)
 
 
 def _assert_int_entries(normals, circuits, reps):
