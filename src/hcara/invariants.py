@@ -126,13 +126,22 @@ def _strictly_separable(S) -> bool:
 
 def is_conical_position(S) -> bool:
     """Strict set-level separation from the origin plus no member lying in the
-    positive hull of the rest."""
+    positive hull of the rest.
+
+    A linearly independent S passes without an LP (Gordan; Davis 1954): the
+    system <n, s> = 1 for every s in S has a solution n, which separates S
+    strictly from the origin, and no member lies even in the span of the
+    others.  Only a dependent S, which includes every S with more than dim
+    members, solves the separability LP and one hull LP per member.
+    """
     S = exact_vectors(S, "is_conical_position")
     if not S:
         raise InputError("is_conical_position needs at least one vector")
     for s in S:
         if is_zero_vector(s):
             raise InputError("the zero vector cannot be in conical position")
+    if len(S) <= len(S[0]) and rank(S) == len(S):
+        return True
     if not _strictly_separable(S):
         return False
     for j in range(len(S)):

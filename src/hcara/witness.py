@@ -69,22 +69,31 @@ def _report(H: NormalSet, X: PointSet, kind, normals_used) -> WitnessReport:
 def helly_witness_points(H: NormalSet, B) -> WitnessReport:
     """Witness points for a maximal simplex-with-origin subset B.
 
-    B qualifies when all of B is the last circuit of the conic-dependence
-    table of its normals.  They are rescaled by that circuit's mu so they sum
-    to zero; each point x_i is the unique vector in the span of B with
-    <a_j, x_i> = -1 for all j != i, which forces <a_i, x_i> = |B| - 1 and
-    sum x_i = 0.
+    B qualifies when it is a circuit of the conic-dependence table: the one
+    a ``Polytope`` attached to H, read and not rebuilt, or else the table of
+    B's own normals, of which all of B must be the last circuit.  They are
+    rescaled by that circuit's mu so they sum to zero; each point x_i is the
+    unique vector in the span of B with <a_j, x_i> = -1 for all j != i, which
+    forces <a_i, x_i> = |B| - 1 and sum x_i = 0.
     """
     idx = H.checked_indices(B)
     S = [H.normals[i] for i in idx]
     k = len(S)
     if k < 2:
         raise InputError("a simplex-with-origin witness needs at least 2 normals")
-    # Circuits have at most dim + 1 members, so a larger B builds no table.
-    circuits = conic_dependences(S)[0] if k <= H.dim + 1 else ()
-    if not circuits or circuits[-1][0] != tuple(range(k)):
+    lam = None
+    if H.conic_dependences is not None:
+        key = tuple(sorted(idx))
+        mu = dict(H.conic_dependences[0]).get(key)
+        if mu is not None:
+            lam = [mu[key.index(i)] for i in idx]
+    elif k <= H.dim + 1:
+        # Circuits have at most dim + 1 members, so a larger B builds no table.
+        circuits = conic_dependences(S)[0]
+        if circuits and circuits[-1][0] == tuple(range(k)):
+            lam = circuits[-1][1]
+    if lam is None:
         raise InputError("B is not minimally positively dependent")
-    lam = circuits[-1][1]
     scaled = [vscale(S[i], lam[i]) for i in range(k)]
     points = []
     for i in range(k):

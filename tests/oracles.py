@@ -17,13 +17,18 @@ reads the strong hull's supports off ``Polytope.conic_dependences`` in
 integer search over the same table decides without computing.
 ``brute_caratheodory`` is the Caratheodory number from its definition, with
 ``fraction_simplex`` and a search over covers, against the paper's theorem.
+``lp_is_conical_position`` is conical position by its LP definition on
+``fraction_simplex``, so ``brute_cone`` and ``brute_relaxed_cone`` share
+no code with ``is_conical_position``, which decides independent sets by
+rank alone.
 """
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.hconvex import PointSet
-from hcara.invariants import is_conical_position, positive_hull_contains
+from hcara.invariants import positive_hull_contains
 from hcara.linear import Vector, clear_denominators, dot
 from hcara.lp import EQ, GE, LE, LpStatus, feasible_point, maximize
 from hcara.strong import Polytope, _member_with_supports, strong_hull_contains
@@ -46,12 +51,21 @@ def brute_helly(H):
     return best
 
 
+@lru_cache(maxsize=1)
+def lp_conical_subsets(normals):
+    """Every index subset of ``normals`` that ``lp_is_conical_position``
+    accepts, in ``all_subsets`` order.  The last set's family is kept, as
+    ``brute_cone`` and ``brute_relaxed_cone`` of one set enumerate it."""
+    return tuple(
+        idx for idx in all_subsets(len(normals))
+        if lp_is_conical_position([normals[i] for i in idx])
+    )
+
+
 def brute_cone(H):
     best = (0, ())
-    for idx in all_subsets(len(H.normals)):
+    for idx in lp_conical_subsets(H.normals):
         vectors = [H.normals[i] for i in idx]
-        if not is_conical_position(vectors):
-            continue
         chosen = set(idx)
         if any(
             positive_hull_contains(vectors, H.normals[i])
@@ -65,11 +79,25 @@ def brute_cone(H):
 
 
 def brute_relaxed_cone(H):
-    best = 0
-    for idx in all_subsets(len(H.normals)):
-        if is_conical_position([H.normals[i] for i in idx]):
-            best = max(best, len(idx))
-    return best
+    return max(len(idx) for idx in lp_conical_subsets(H.normals))
+
+
+def lp_is_conical_position(S):
+    """Conical position by LP, straight from the definition, on
+    ``fraction_simplex``: some n has <n, s> >= 1 for every s in S (strict
+    separation from the origin, rescaled), and no s_j is a nonnegative
+    combination of the others.  S holds nonzero vectors of one dimension."""
+    S = [tuple(Fraction(c) for c in s) for s in S]
+    dim = len(S[0])
+    rows = [(s, GE, _Q1) for s in S]
+    if fraction_simplex(dim, rows, None, nonneg=False)[0] != "feasible":
+        return False
+    for j in range(len(S)):
+        rest = S[:j] + S[j + 1:]
+        rows = [(tuple(s[d] for s in rest), EQ, S[j][d]) for d in range(dim)]
+        if fraction_simplex(len(rest), rows, None, nonneg=True)[0] == "feasible":
+            return False
+    return True
 
 
 def brute_simplex_with_origin(S):

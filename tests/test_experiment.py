@@ -317,8 +317,8 @@ def test_a_trial_builds_one_table_per_polytope(monkeypatch):
     """16 seed-42 trials of the benchmark's dim-2 shape build the table of a
     whole normal set 52 times: once per row set ``random_instance`` draws and
     once per ``Polytope``, whose table ``helly_number`` reads rather than
-    rebuilds (68 builds when it rebuilt).  The witness module's tables of
-    subsets are not counted."""
+    rebuilds (68 builds when it rebuilt).  ``helly_witness_points`` reads
+    that table too, so the witness module builds none."""
     original = hcara.linear.conic_dependences
     builds = []
     for name, module in list(sys.modules.items()):
@@ -334,6 +334,6 @@ def test_a_trial_builds_one_table_per_polytope(monkeypatch):
     )
     for i in range(16):
         run_trial(config, i)
-    whole = [name for name in builds if name != "hcara.witness"]
-    assert len(whole) == 52
-    assert "hcara.invariants" not in whole
+    assert "hcara.witness" not in builds
+    assert len(builds) == 52
+    assert "hcara.invariants" not in builds

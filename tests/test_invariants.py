@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import named_normal_sets, random_normal_sets
 from oracles import (
+    all_subsets,
     brute_caratheodory,
     brute_cone,
     brute_helly,
     brute_relaxed_cone,
     brute_simplex_with_origin,
+    lp_is_conical_position,
 )
 
 from hcara.errors import InputError
@@ -59,6 +61,25 @@ def dependence_candidates(draw, dim):
     if draw(st.integers(0, 3)) == 0:
         S[draw(st.integers(0, len(S) - 1))] = (F(0),) * dim
     return draw(st.permutations(S))
+
+
+@st.composite
+def conical_candidates(draw, dim):
+    """1..dim+2 nonzero vectors in R^dim with repeats, positive multiples
+    and negative multiples of earlier members drawn on purpose."""
+    S = draw(st.lists(nonzero_vectors(dim), min_size=1, max_size=dim + 2))
+    scales = st.sampled_from((F(1), F(2), F(1, 2), F(-1), F(-2), F(-1, 2)))
+    for i in range(1, len(S)):
+        if draw(st.integers(0, 2)) == 0:
+            c = draw(scales)
+            S[i] = tuple(c * x for x in S[draw(st.integers(0, i - 1))])
+    return draw(st.permutations(S))
+
+
+def side_normals(m):
+    """The m slanted facet normals of the pyramid over an m-gon: the rays
+    of a pointed cone in R^3 with m extreme rays."""
+    return list(pyramid_normals(m).normals[:m])
 
 
 class TestPositiveHull:
@@ -175,6 +196,102 @@ class TestConicalPosition:
         for k in range(1, len(S)):
             for sub in combinations(S, k):
                 assert is_conical_position(list(sub))
+
+    @pytest.mark.parametrize(
+        "S,expected",
+        [
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], True),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], False),
+            ([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], False),
+            ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], True),
+            ([(1, 2), (-1, -2)], False),
+        ],
+        ids=["basis", "coplanar-in-hull", "coplanar-spanning", "square-cone", "antiparallel"],
+    )
+    def test_named_cases_agree_with_lp_definition(self, S, expected):
+        assert is_conical_position(S) == lp_is_conical_position(S) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(conical_candidates))
+    def test_agrees_with_lp_definition(self, S):
+        assert is_conical_position(S) == lp_is_conical_position(S)
+
+    @pytest.mark.parametrize(
+        "S",
+        [
+            [(F(3),)],
+            [(F(-1, 2),)],
+            [(1, 2), (2, 1)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [(1, 2, 0), (0, F(1, 3), 1)],
+            [(1, 1, 1, 1), (0, -1, 2, 0), (0, 0, -3, 1), (F(1, 2), 0, 0, -1)],
+        ],
+    )
+    def test_independent_sets_solve_no_lp(self, monkeypatch, S):
+        import hcara.invariants
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a linearly independent set needs no LP")
+
+        monkeypatch.setattr(hcara.invariants, "feasible_point", no_lp)
+        assert is_conical_position(S)
+
+    def test_more_than_dim_vectors_take_no_rank(self, monkeypatch):
+        import hcara.invariants
+
+        ranks = []
+        original = hcara.invariants.rank
+
+        def spy(*args):
+            ranks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hcara.invariants, "rank", spy)
+        assert is_conical_position(side_normals(4))
+        assert not is_conical_position([(1, 0), (0, 1), (1, 1)])
+        assert not is_conical_position([(1,), (2,)])
+        assert ranks == []
+        assert is_conical_position([(1, 0), (0, 1)])
+        assert len(ranks) == 1
+
+
+class TestConicalLocality:
+    """For |S| >= dim + 2, S is in conical position exactly when every facet
+    S - {s_j} is.  Conical position is hereditary.  Conversely, S fails it
+    either on a circuit (a minimal positively dependent subset, which blocks
+    strict separation by Gordan) or on a member s_j in the positive hull of
+    the rest, and then, by conic Caratheodory, in the positive hull of a
+    linearly independent B.  Either obstruction has at most dim + 1 members,
+    so it misses a member of S and lies inside that member's facet."""
+
+    @staticmethod
+    def facets_agree(S):
+        facets = [S[:j] + S[j + 1:] for j in range(len(S))]
+        verdict = is_conical_position(S)
+        assert verdict == all(is_conical_position(f) for f in facets)
+        return verdict
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_pyramid_cones(self, m):
+        sides = side_normals(m)
+        inside = tuple(sum(col) for col in zip(*sides))
+        if len(sides) >= 5:
+            assert self.facets_agree(sides)
+            assert lp_is_conical_position(sides)
+        S = sides + [inside]
+        assert not self.facets_agree(S)
+        assert not lp_is_conical_position(S)
+        verdicts = [is_conical_position(S[:j] + S[j + 1:]) for j in range(len(S))]
+        assert verdicts[-1] and not all(verdicts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((2, 3)).flatmap(
+            lambda d: st.lists(nonzero_vectors(d), min_size=d + 2, max_size=d + 3)
+        )
+    )
+    def test_random_sets(self, S):
+        self.facets_agree(S)
 
 
 class TestHellyNumber:
@@ -335,6 +452,9 @@ def small_normal_sets(draw):
     return NormalSet(dim, tuple(draw(st.lists(coordinates, min_size=1, max_size=6))))
 
 
+ONE_SIDED = NormalSet(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)))
+
+
 class TestCaratheodoryDefinition:
     """The paper's theorem, Caratheodory(H) = max(helly, cone), against the
     definition of the Caratheodory number (``oracles.brute_caratheodory``)."""
@@ -342,7 +462,7 @@ class TestCaratheodoryDefinition:
     def test_one_sided_set_needs_the_emptiness_condition(self):
         # The relaxed cone number is 4 here; the cone number's emptiness
         # condition is what brings the answer down to 3.
-        H = NormalSet(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)))
+        H = ONE_SIDED
         r = caratheodory_number(H)
         assert brute_caratheodory(H) == r.caratheodory == 3
         assert r.relaxed_cone == 4
@@ -358,3 +478,17 @@ class TestCaratheodoryDefinition:
     @given(small_normal_sets())
     def test_agrees_with_definition(self, H):
         assert brute_caratheodory(H) == caratheodory_number(H).caratheodory
+
+    @pytest.mark.parametrize(
+        "H", [ONE_SIDED, triangle_normals()], ids=["one-sided", "triangle"]
+    )
+    def test_subset_bound(self, H):
+        """The harness bounds Caratheodory(H') over every nonempty H' of H by
+        max(helly, relaxed_cone); on these sets the bound is the largest
+        value the definition gives on a subset."""
+        r = caratheodory_number(H)
+        best = max(
+            brute_caratheodory(NormalSet(H.dim, tuple(H.normals[i] for i in idx)))
+            for idx in all_subsets(len(H.normals))
+        )
+        assert max(r.helly, r.relaxed_cone) == best

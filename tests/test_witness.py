@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,53 @@ class TestHellyWitness:
     def test_more_than_dim_plus_one_rejected(self):
         with pytest.raises(InputError, match="not minimally positively dependent"):
             helly_witness_points(BOX, (0, 1, 2, 3))
+
+    def test_reads_the_polytope_table(self, monkeypatch):
+        """On a polytope's normal set every circuit of the attached table, in
+        either order, gives the report the set's own subset table gives, and
+        every other B of 2 to dim + 2 normals is rejected as before, with no
+        table built."""
+        import hcara.witness
+        from conftest import named_polytopes
+
+        cases = []
+        for name, K, _ in named_polytopes():
+            direct = NormalSet(K.dim, K.normals)
+            circuits = {S for S, _ in K.conic_dependences[0]}
+            for k in range(2, K.dim + 3):
+                for B in combinations(range(len(K.normals)), k):
+                    for idx in (B, B[::-1]):
+                        if B in circuits:
+                            expected = helly_witness_points(direct, idx)
+                        else:
+                            with pytest.raises(InputError) as info:
+                                helly_witness_points(direct, idx)
+                            expected = str(info.value)
+                        cases.append((name, K, idx, expected))
+        assert sum(not isinstance(e, str) for *_, e in cases) > len(named_polytopes())
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("the polytope's table was built again")
+
+        monkeypatch.setattr(hcara.witness, "conic_dependences", no_table)
+        for name, K, idx, expected in cases:
+            H = K.normal_set()
+            if isinstance(expected, str):
+                with pytest.raises(InputError) as info:
+                    helly_witness_points(H, idx)
+                assert str(info.value) == expected, (name, idx)
+            else:
+                assert helly_witness_points(H, idx) == expected, (name, idx)
+
+    def test_errors_on_the_table_path(self):
+        H = triangle_normals()
+        assert H.conic_dependences is not None
+        with pytest.raises(InputError, match="at least 2 normals"):
+            helly_witness_points(H, (0,))
+        with pytest.raises(InputError, match="distinct"):
+            helly_witness_points(H, (0, 0))
+        with pytest.raises(InputError, match="not minimally positively dependent"):
+            helly_witness_points(H, (0, 1))
 
     @pytest.mark.parametrize("B", [None, 3, [False, True], [0, 1.0]])
     def test_non_index_sequences_rejected(self, B):
