@@ -29,10 +29,13 @@ from .errors import (
 from .hconvex import NormalSet, PointSet, h_hull_contains
 from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
-from .linear import Vector, conic_dependences, dot, vadd, vscale, zero_vector
+from .linear import (
+    Vector, conic_dependences, dot, restrict, vadd, vscale, zero_vector,
+)
 from .shapes import cube_polytope
 from .strong import (
     Polytope,
+    _region,
     fits_in_translate,
     guard_assignment,
     h_subset_strong_check,
@@ -40,7 +43,6 @@ from .strong import (
     redundant_rows,
     shrink_intervals,
     spans_positively,
-    strong_hull_contains,
 )
 from .witness import cone_witness_points, helly_witness_points
 
@@ -134,7 +136,9 @@ def random_instance(config: ExperimentConfig, trial_index: int):
     """Deterministic (polytope, point set) pair for one trial.
 
     The polytope is rejection-sampled until bounded; its offsets are >= 1 so
-    the origin is interior, then redundant rows are pruned.  Points are drawn
+    the origin is interior, then redundant rows are pruned.  The drawn rows'
+    conic-dependence table, restricted to the kept rows, is the polytope's,
+    so each drawn polytope builds one table.  Points are drawn
     inside the polytope along random rays from the origin and shifted by a
     common random translate.
     """
@@ -145,16 +149,20 @@ def random_instance(config: ExperimentConfig, trial_index: int):
         draws = [_rand_nonzero_vector(rng, dim, cb) for _ in range(m)]
         # one row per direction: parallel rows could doubly represent a
         # facet, and simultaneous redundancy pruning would drop both
-        normals = list(NormalSet(dim, draws).normals)
+        normals = NormalSet(dim, draws).normals
         table = conic_dependences(normals)
         if not spans_positively(normals, dim, table):
             continue
         # offsets >= 1 put the origin inside, as redundant_rows requires
         offsets = [Fraction(rng.randint(1, cb)) for _ in normals]
-        for i in sorted(redundant_rows(offsets, table), reverse=True):
-            del normals[i]
-            del offsets[i]
-        K = Polytope(dim, tuple(normals), tuple(offsets))
+        bad = set(redundant_rows(offsets, table))
+        keep = [i for i in range(len(normals)) if i not in bad]
+        K = Polytope._with_table(
+            dim,
+            tuple(normals[i] for i in keep),
+            tuple(offsets[i] for i in keep),
+            restrict(table, keep),
+        )
 
         count = rng.randint(1, config.max_points)
         shift = _rand_vector(rng, dim, cb)
@@ -301,7 +309,8 @@ def check_guard_existence(K: Polytope, witness: PointSet, p: Vector) -> dict:
 
 def _cube_equality_record(rng, dim, bound) -> dict:
     """Membership equality of the two hulls on a cube, for one inside and one
-    arbitrary nearby query point."""
+    arbitrary nearby query point; both strong verdicts read the facet LPs of
+    one region."""
     K = cube_polytope(dim)
     H = K.normal_set()
     points = []
@@ -316,11 +325,12 @@ def _cube_equality_record(rng, dim, bound) -> dict:
         _convex_combination(rng, X, bound),
         tuple(Fraction(rng.randint(-bound, 2 * bound), bound) for _ in range(dim)),
     ]
+    region, _ = _region(K, X)
     ok = True
     mismatches = []
     for q in queries:
         h_member = h_hull_contains(H, X, q)
-        s_member = strong_hull_contains(K, X, q)
+        s_member = region.contains(q)
         if h_member != s_member:
             ok = False
             mismatches.append(vector_to_json(q))
@@ -344,9 +354,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict:
     witness = minimal_strong_witness(K, X, p)
     upper = check_upper_bounds(K, witness, invariants=invariants)
     guard = check_guard_existence(K, witness, p)
-    implication = {
-        "ok": h_subset_strong_check(K, X, p) and h_subset_strong_check(K, X, q),
-    }
+    implication = {"ok": h_subset_strong_check(K, X, p, q)}
     cube = _cube_equality_record(rng_points, config.dim, config.coordinate_bound)
     scaling = check_lower_bound_scaling(K, config.scaling_depth, invariants=invariants)
 

@@ -10,6 +10,16 @@
 
 A relaxed cone number (conical position only, no emptiness requirement) is
 reported alongside.
+
+The cone search takes one of two paths, chosen by whether the normal set
+carries a table.  The normal set of a ``Polytope`` does, and the search reads
+conical position and hull avoidance off it by bitmask, with no LP.  A set
+built directly carries none, and each candidate keeps the LP definitions,
+``is_conical_position`` (by rank alone for a linearly independent set) and
+``positive_hull_contains``.  The benchmark's ``normal-sets`` workload keeps
+every set it draws, so a faster cone search there only grows its peak
+memory; once it stops keeping them, every set can build its table and the LP
+path can go.
 """
 from __future__ import annotations
 
@@ -163,14 +173,67 @@ def helly_number(H: NormalSet) -> tuple[int, tuple[int, ...]]:
     return (k, next(S for S, _ in circuits if len(S) == k))
 
 
-def _conical_levels(H: NormalSet) -> list[list[tuple[int, ...]]]:
-    """All conical-position index subsets, grouped by size.
+def _subset_tests(H: NormalSet):
+    """``(conical, avoids_rest)``: whether the normals at an index subset
+    are in conical position, and whether their positive hull holds no other
+    normal of H.
+
+    With a table attached (``H.conic_dependences``, as on the normal set of
+    a ``Polytope``) both are read off it by bitmask, with no LP.  S contains
+    a positively dependent subset exactly when it contains a circuit, so by
+    Gordan S is strictly separable from the origin exactly when it contains
+    none; and by conic Caratheodory a_i lies in pos(T) exactly when a_i has
+    a representation with B inside T.  So S is in conical position exactly
+    when it contains no circuit and no i in S has a nontrivial
+    representation inside S, and pos(S) holds a_i, i not in S, exactly when
+    a_i has a representation inside S.  A set built directly keeps the LP
+    definitions, ``is_conical_position`` and ``positive_hull_contains``.
+    """
+    normals = H.normals
+    if H.conic_dependences is None:
+        def conical(idx):
+            return is_conical_position([normals[i] for i in idx])
+
+        def avoids_rest(idx):
+            chosen = [normals[i] for i in idx]
+            return not any(
+                positive_hull_contains(chosen, normals[i])
+                for i in range(len(normals)) if i not in idx
+            )
+
+        return conical, avoids_rest
+
+    def mask(indices):
+        return sum(1 << j for j in indices)
+
+    circuits, reps = H.conic_dependences
+    circuit_masks = [mask(S) for S, _ in circuits]
+    rep_masks = [[mask(B) for B, _, _ in entries[1:]] for entries in reps]
+
+    def conical(idx):
+        s = mask(idx)
+        return not any(c & s == c for c in circuit_masks) and not any(
+            r & s == r for i in idx for r in rep_masks[i]
+        )
+
+    def avoids_rest(idx):
+        s = mask(idx)
+        return not any(
+            r & s == r
+            for i, masks in enumerate(rep_masks) if not s >> i & 1
+            for r in masks
+        )
+
+    return conical, avoids_rest
+
+
+def _conical_levels(H: NormalSet, conical) -> list[list[tuple[int, ...]]]:
+    """All index subsets that ``conical`` accepts, grouped by size.
 
     Conical position is hereditary, so the family is built level-wise and a
     candidate is tested only when all its facets passed the previous level.
     """
     n = len(H.normals)
-    vectors = H.normals
     levels = []
     current = [(i,) for i in range(n)]
     while current:
@@ -183,28 +246,18 @@ def _conical_levels(H: NormalSet) -> list[list[tuple[int, ...]]]:
                 if all(
                     cand[:i] + cand[i + 1:] in prev for i in range(len(cand) - 1)
                 ):
-                    if is_conical_position([vectors[i] for i in cand]):
+                    if conical(cand):
                         nxt.append(cand)
         current = nxt
     return levels
 
 
-def _hull_avoids_rest(H: NormalSet, idx) -> bool:
-    chosen = [H.normals[i] for i in idx]
-    members = set(idx)
-    return not any(
-        positive_hull_contains(chosen, H.normals[i])
-        for i in range(len(H.normals))
-        if i not in members
-    )
-
-
-def _cone_from_levels(H: NormalSet, levels) -> tuple[int, tuple[int, ...]]:
+def _cone_from_levels(levels, avoids_rest) -> tuple[int, tuple[int, ...]]:
     """Largest subset in ``levels`` (as built by :func:`_conical_levels`)
     whose positive hull contains no other normal; ties go to level order."""
     for level in reversed(levels):
         for idx in level:
-            if _hull_avoids_rest(H, idx):
+            if avoids_rest(idx):
                 return (len(idx), idx)
     raise InternalConsistencyError("singletons always qualify")
 
@@ -214,14 +267,16 @@ def cone_number(H: NormalSet) -> tuple[int, tuple[int, ...]]:
     normal, with its index witness."""
     if not H.normals:
         raise InputError("cone number of an empty normal set is undefined")
-    return _cone_from_levels(H, _conical_levels(H))
+    conical, avoids_rest = _subset_tests(H)
+    return _cone_from_levels(_conical_levels(H, conical), avoids_rest)
 
 
 def relaxed_cone_number(H: NormalSet) -> int:
     """Largest conical-position subset, the emptiness condition dropped."""
     if not H.normals:
         raise InputError("relaxed cone number of an empty normal set is undefined")
-    return len(_conical_levels(H))
+    conical, _ = _subset_tests(H)
+    return len(_conical_levels(H, conical))
 
 
 def caratheodory_number(H: NormalSet) -> InvariantReport:
@@ -230,8 +285,9 @@ def caratheodory_number(H: NormalSet) -> InvariantReport:
     if not H.normals:
         raise InputError("caratheodory number of an empty normal set is undefined")
     helly, helly_witness = helly_number(H)
-    levels = _conical_levels(H)
-    cone, cone_witness = _cone_from_levels(H, levels)
+    conical, avoids_rest = _subset_tests(H)
+    levels = _conical_levels(H, conical)
+    cone, cone_witness = _cone_from_levels(levels, avoids_rest)
     return InvariantReport(
         helly=helly,
         cone=cone,

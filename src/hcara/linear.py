@@ -281,3 +281,38 @@ def conic_dependences(vectors):
                 raise InternalConsistencyError(f"representation {B} of {i} is wrong")
     ordered = sorted(circuits.items(), key=lambda e: (len(e[0]), e[0]))
     return tuple(ordered), tuple(tuple(entries) for entries in reps)
+
+
+def restrict(table, keep):
+    """The conic-dependence table of the vectors a_k, k in ``keep``, read off
+    ``table``, the table of all of them: the entries whose index sets lie
+    inside ``keep``, each index renamed to its position in ``keep``.
+
+    Circuits are intrinsic to their members, and a representation of a_i by
+    a linearly independent B depends on a_i and B alone, so these entries
+    are exactly those a fresh :func:`conic_dependences` of the kept vectors
+    lists.  ``keep`` is increasing, so the renaming is monotone and keeps
+    the (size, lexicographic) order, with the trivial representation first.
+    """
+    circuits, reps = table
+    keep = tuple(keep)
+    if any(j <= i for i, j in zip(keep, keep[1:])) or not all(
+        type(k) is int and 0 <= k < len(reps) for k in keep
+    ):
+        raise InputError(
+            "restrict: keep must be increasing indices of the table's vectors"
+        )
+    position = {k: r for r, k in enumerate(keep)}
+    return (
+        tuple(
+            (tuple(position[j] for j in S), mu)
+            for S, mu in circuits if all(j in position for j in S)
+        ),
+        tuple(
+            tuple(
+                (tuple(position[j] for j in B), lam, d)
+                for B, lam, d in reps[k] if all(j in position for j in B)
+            )
+            for k in keep
+        ),
+    )

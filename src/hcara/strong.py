@@ -11,9 +11,13 @@ Two paths decide this, and each checks the other:
 
 * the facet LPs, the reference: ``fits_in_translate``,
   ``strong_hull_contains`` and ``h_subset_strong_check`` solve the region's
-  feasibility and the m facet maxima as exact LPs.  The m maxima share one
-  row system, so ``lp.maximize_each`` runs one phase 1 for all of them and a
-  phase 2 per facet only until the first violated facet;
+  feasibility and the m facet maxima as exact LPs.  The maxima depend on X,
+  not on the query point, and share one row system, so one facet region per
+  point set (``_FacetRegion``) reads them off one ``lp.maximize_each``: one
+  phase 1, which is also the fit test, and each facet's phase 2 the first
+  time a query reaches that facet.  The queries on one X share the region:
+  ``h_subset_strong_check`` takes any number of points, and the harness's
+  cube check asks its two queries of one region;
 * the conic-dependence table of the normals (``linear.conic_dependences``),
   all ints and built once per polytope, read by ``minimal_strong_witness``
   and ``shrink_intervals`` with no LP.  By Farkas, X fits exactly when
@@ -111,14 +115,16 @@ class Polytope:
     normals are positive multiples, so the normal set H of K, built once and
     handed out by ``normal_set()``, keeps K's normals and indices.  The one
     table, ``linear.conic_dependences`` of the facet normals as given and all
-    ints, stays on K and on H as the attribute ``conic_dependences``.
+    ints, stays on K and on H as the attribute ``conic_dependences``;
+    ``experiment.random_instance``, which has already built the table of the
+    rows it drew, hands the part of it on the kept rows to ``_with_table``.
     """
 
     dim: int
     normals: tuple[Vector, ...]
     offsets: tuple[Fraction, ...]
 
-    def __post_init__(self):
+    def __post_init__(self, table=None):
         if self.dim < 1:
             raise InputError("dimension must be >= 1")
         normals = tuple(tuple(exact(c) for c in a) for a in self.normals)
@@ -130,7 +136,8 @@ class Polytope:
         H = NormalSet(self.dim, normals)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-        table = conic_dependences(normals)
+        if table is None:
+            table = conic_dependences(normals)
         if not spans_positively(normals, self.dim, table):
             raise InputError("polytope is unbounded: normals do not span positively")
         if any(_weighted(S, mu, offsets) <= 0 for S, mu in table[0]):
@@ -142,6 +149,17 @@ class Polytope:
         object.__setattr__(self, "conic_dependences", table)
         object.__setattr__(H, "conic_dependences", table)
         object.__setattr__(self, "_normal_set", H)
+
+    @classmethod
+    def _with_table(cls, dim, normals, offsets, table) -> "Polytope":
+        """``Polytope(dim, normals, offsets)``, every check included, with
+        ``table``, the conic-dependence table of the normals, taken as given
+        rather than built again."""
+        K = cls.__new__(cls)
+        for name, value in (("dim", dim), ("normals", normals), ("offsets", offsets)):
+            object.__setattr__(K, name, value)
+        K.__post_init__(table)
+        return K
 
     def __len__(self):
         return len(self.normals)
@@ -195,24 +213,65 @@ def fits_in_translate(K: Polytope, X: PointSet) -> Vector | None:
     return feasible_point(_translate_rows(K, supports), K.dim, nonneg=False)
 
 
-def _member_with_supports(K: Polytope, supports, p: Vector) -> bool:
-    """Membership via per-facet violation maxima; supports are precomputed.
-    The facet LPs share their rows, so one phase 1 serves them all, an
-    infeasible one means X fits nowhere, and the first violated facet ends
-    the query before the later facets' phase 2."""
-    outcomes = maximize_each(
-        _translate_rows(K, supports), [vneg(a) for a in K.normals], K.dim
-    )
-    for i, (a, outcome) in enumerate(zip(K.normals, outcomes)):
-        if outcome.status is LpStatus.INFEASIBLE:
-            raise PreconditionError("X does not fit in any translate of K")
-        if outcome.status is not LpStatus.OPTIMAL:
-            raise InternalConsistencyError(
-                "translate region of a bounded polytope must be bounded"
-            )
-        if dot(a, p) - K.offsets[i] + outcome.value > 0:
-            return False
-    return True
+class _FacetRegion:
+    """The translate region {t : X in K + t} of one point set X, given by the
+    supports of X, and the m facet maxima of the strong hull over it.
+
+    The maxima depend on X alone, not on a query point, so every query on X
+    reads one ``lp.maximize_each``: one phase 1 for the region, and each
+    facet's phase 2 the first time a query reaches that facet."""
+
+    def __init__(self, K: Polytope, supports):
+        self._K = K
+        self._outcomes = maximize_each(
+            _translate_rows(K, supports), [vneg(a) for a in K.normals], K.dim
+        )
+        self._optima = []
+
+    def _optimum(self, i):
+        """The maximum of -<a_i, t> over the region; None when it is empty."""
+        while self._optima is not None and len(self._optima) <= i:
+            outcome = next(self._outcomes)
+            if outcome.status is LpStatus.INFEASIBLE:
+                self._optima = None
+            elif outcome.status is not LpStatus.OPTIMAL:
+                raise InternalConsistencyError(
+                    "translate region of a bounded polytope must be bounded"
+                )
+            else:
+                self._optima.append(outcome.value)
+        return None if self._optima is None else self._optima[i]
+
+    def fits(self) -> bool:
+        """Whether X fits in some translate of K: phase 1's verdict, which
+        arrives with the first facet's optimum."""
+        return self._optimum(0) is not None
+
+    def contains(self, p: Vector) -> bool:
+        """Membership of p in the hull by the per-facet violation maxima; the
+        first violated facet ends the query before the later facets'
+        phase 2."""
+        for i, (a, b) in enumerate(zip(self._K.normals, self._K.offsets)):
+            value = self._optimum(i)
+            if value is None:
+                raise PreconditionError("X does not fit in any translate of K")
+            if dot(a, p) - b + value > 0:
+                return False
+        return True
+
+
+def _region(K: Polytope, X: PointSet, queries=()):
+    """The facet region of X and, per query, whether it lies in the
+    restricted hull of X, <a_i, q> <= s_i for every i.  The supports s and
+    that test come from the int levels of :func:`_levels`."""
+    L, _, levels = _levels(K, X.points + tuple(queries))
+    n = len(X)
+    tops = [max(row[:n]) for row in levels]
+    inside = [
+        all(row[k] <= t for row, t in zip(levels, tops))
+        for k in range(n, n + len(queries))
+    ]
+    return _FacetRegion(K, [Fraction(t, L) for t in tops]), inside
 
 
 def _query(K: Polytope, X: PointSet, p: Vector) -> Vector:
@@ -230,12 +289,13 @@ def strong_hull_contains(K: Polytope, X: PointSet, p: Vector) -> bool:
     Raises PreconditionError unless X fits in some translate of K.
     """
     p = _query(K, X, p)
-    return _member_with_supports(K, [support(X, a) for a in K.normals], p)
+    region, _ = _region(K, X)
+    return region.contains(p)
 
 
 def _levels(K: Polytope, points):
-    """L b and, per row i, L <a_i, x> for each of the points, all ints, for
-    one common L > 0.  The normal coordinates share one denominator, and so
+    """One common L > 0, then L b and, per row i, L <a_i, x> for each of the
+    points, all ints.  The normal coordinates share one denominator, and so
     do the points', so every inner product is an int dot product."""
     dim = K.dim
     flat_a, qa = clear_denominators([c for a in K.normals for c in a])
@@ -245,6 +305,7 @@ def _levels(K: Polytope, points):
     rows = [flat_a[k:k + dim] for k in range(0, len(flat_a), dim)]
     xs = [[L // (qa * qx) * v for v in flat_x[k:k + dim]] for k in range(0, len(flat_x), dim)]
     return (
+        L,
         [L // qb * b for b in offsets],
         [[sum(a * v for a, v in zip(A, x)) for x in xs] for A in rows],
     )
@@ -261,7 +322,7 @@ def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
     """
     p = _query(K, X, p)
     circuits, reps = K.conic_dependences
-    lb, levels = _levels(K, X.points + (p,))
+    _, lb, levels = _levels(K, X.points + (p,))
     E = [row[-1] - b for row, b in zip(levels, lb)]
 
     def contains(idx):
@@ -297,7 +358,7 @@ def shrink_intervals(K: Polytope, X: PointSet):
     """
     _check_joint(K, X)
     circuits, reps = K.conic_dependences
-    lb, levels = _levels(K, X.points)
+    _, lb, levels = _levels(K, X.points)
     out = []
     for k in range(1, len(X) + 1):
         for idx in combinations(range(len(X)), k):
@@ -324,7 +385,7 @@ def guard_assignment(K: Polytope, X: PointSet, p: Vector):
     which order as the inner products do since L > 0.
     """
     p = _query(K, X, p)
-    _, levels = _levels(K, X.points + (p,))
+    _, _, levels = _levels(K, X.points + (p,))
     n = len(X)
     out = {}
     for j in range(n):
@@ -338,19 +399,22 @@ def guard_assignment(K: Polytope, X: PointSet, p: Vector):
     return out
 
 
-def h_subset_strong_check(K: Polytope, X: PointSet, p: Vector) -> bool:
+def h_subset_strong_check(K: Polytope, X: PointSet, *points) -> bool:
     """Probe of the containment of the normal-restricted hull in the
-    translate-intersection hull: membership in the former must imply
-    membership in the latter.  Always true mathematically; exercised as a
-    runtime property.
+    translate-intersection hull: membership of each point in the former
+    must imply membership in the latter.  Always true mathematically;
+    exercised as a runtime property.
 
-    The supports of X on K's normals are computed once: p is in the
-    restricted hull exactly when <a_i, p> <= s_i for every i, and the same
-    supports then feed the facet LPs, or the fit LP when p is outside."""
-    p = _query(K, X, p)
-    supports = [support(X, a) for a in K.normals]
-    if all(dot(a, p) <= s for a, s in zip(K.normals, supports)):
-        return _member_with_supports(K, supports, p)
-    if feasible_point(_translate_rows(K, supports), K.dim, nonneg=False) is None:
-        raise PreconditionError("X does not fit in any translate of K")
+    All the points share the one facet region of X: a point inside the
+    restricted hull is decided by the region's facet LPs, and a point
+    outside needs only the region's phase 1, which must find that X fits."""
+    _check_joint(K, X)
+    points = [_query(K, X, p) for p in points]
+    region, inside = _region(K, X, points)
+    for p, restricted in zip(points, inside):
+        if restricted:
+            if not region.contains(p):
+                return False
+        elif not region.fits():
+            raise PreconditionError("X does not fit in any translate of K")
     return True

@@ -4,7 +4,8 @@ Everything enumerates all 2^|H| subsets directly so the pruned searches in the
 package have an independent path to agree with.  ``fraction_simplex`` is the
 LP kernel on a Fraction tableau, frozen as the reference for the integer one;
 ``lp_minimal_strong_witness`` is the minimal strong witness searched with the
-facet LPs, and ``lp_interior_slack`` and ``lp_redundant_rows`` are the
+facet LPs on ``fraction_simplex``, so it shares no code with the facet region
+of ``hcara.strong``, and ``lp_interior_slack`` and ``lp_redundant_rows`` are the
 ``Polytope`` construction checks as LPs, the references for the
 conic-dependence table.  ``bareiss_rank`` and ``gram_solve_linear`` are the
 linear algebra that ``hcara.linear.pivot`` replaced.  ``brute_helly`` tests
@@ -31,7 +32,7 @@ from hcara.hconvex import PointSet
 from hcara.invariants import positive_hull_contains
 from hcara.linear import Vector, clear_denominators, dot
 from hcara.lp import EQ, GE, LE, LpStatus, feasible_point, maximize
-from hcara.strong import Polytope, _member_with_supports, strong_hull_contains
+from hcara.strong import Polytope
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -274,16 +275,44 @@ def lp_redundant_rows(normals, offsets, dim) -> list[int]:
     return out
 
 
+def _fraction_strong_member(K: Polytope, supports, p):
+    """Membership of p in the strong hull of a point set with these
+    supports, by the facet LPs on ``fraction_simplex``; None when the
+    translate region {t : <a_i, t> >= s_i - b_i} is empty.  Facet i holds p
+    when <a_i, p> - b_i plus the maximum of -<a_i, t> over the region is at
+    most 0.  Every t in the region has -<a_i, t> <= b_i - s_i, so a facet
+    with <a_i, p> <= s_i holds p without its LP once the region is known to
+    be nonempty."""
+    rows = [(tuple(a), GE, s - b) for a, s, b in zip(K.normals, supports, K.offsets)]
+    if fraction_simplex(K.dim, rows, None, nonneg=False)[0] != "feasible":
+        return None
+    for a, s, b in zip(K.normals, supports, K.offsets):
+        if dot(a, p) <= s:
+            continue
+        status, t = fraction_simplex(K.dim, rows, tuple(-c for c in a), nonneg=False)
+        if status != "optimal":
+            raise InternalConsistencyError("translate region must be bounded")
+        if dot(a, p) - b - dot(a, t) > 0:
+            return False
+    return True
+
+
 def lp_minimal_strong_witness(K: Polytope, X: PointSet, p):
     """Minimum-cardinality subset of X whose hull under K still contains p,
-    by exhaustive search in (size, lexicographic index) order."""
-    if not strong_hull_contains(K, X, p):
-        raise PreconditionError("query point is not in the hull of X")
+    by exhaustive search in (size, lexicographic index) order, each subset
+    decided by ``_fraction_strong_member``."""
     p = tuple(Fraction(c) for c in p)
     dots = [[dot(a, x) for x in X.points] for a in K.normals]
-    return X.minimal_subset(lambda idx: _member_with_supports(
-        K, [max(row[j] for j in idx) for row in dots], p
-    ))
+
+    def contains(idx):
+        return _fraction_strong_member(K, [max(row[j] for j in idx) for row in dots], p)
+
+    whole = contains(range(len(X)))
+    if whole is None:
+        raise PreconditionError("X does not fit in any translate of K")
+    if not whole:
+        raise PreconditionError("query point is not in the hull of X")
+    return X.minimal_subset(contains)
 
 
 def tight_supports(K: Polytope, supports):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from oracles import lp_minimal_strong_witness
 
 import hcara.experiment
+import hcara.invariants
 import hcara.linear
+import hcara.lp
 import hcara.strong
 from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.experiment import (
@@ -315,10 +317,11 @@ def test_seed42_trial_digest(workload, ops, dim, max_normals):
 
 def test_a_trial_builds_one_table_per_polytope(monkeypatch):
     """16 seed-42 trials of the benchmark's dim-2 shape build the table of a
-    whole normal set 52 times: once per row set ``random_instance`` draws and
-    once per ``Polytope``, whose table ``helly_number`` reads rather than
-    rebuilds (68 builds when it rebuilt).  ``helly_witness_points`` reads
-    that table too, so the witness module builds none."""
+    whole normal set 36 times: once per row set ``random_instance`` draws
+    (35) and once for the cube.  The drawn table, restricted to the kept
+    rows, is the polytope's (52 builds when ``Polytope`` built it again), and
+    ``helly_number``, the cone search and ``helly_witness_points`` read it,
+    so neither the invariants nor the witness module builds one."""
     original = hcara.linear.conic_dependences
     builds = []
     for name, module in list(sys.modules.items()):
@@ -335,5 +338,41 @@ def test_a_trial_builds_one_table_per_polytope(monkeypatch):
     for i in range(16):
         run_trial(config, i)
     assert "hcara.witness" not in builds
-    assert len(builds) == 52
+    assert len(builds) == 36
     assert "hcara.invariants" not in builds
+
+
+def test_a_trial_solves_one_phase_1_per_point_set(monkeypatch):
+    """Every LP of 16 seed-42 trials of the benchmark's dim-2 shape is one
+    region's phase 1 with the phase 2s its queries read: the hull-implication
+    check's X and the cube check's point set each take one, whatever the
+    number of query points, and a scaled set the scaling check finds too
+    wide takes its fit LP.  No row system is solved twice in a trial, and
+    the invariants, read off the polytope's table, solve none (193 LP
+    entries when every query and conical-position test solved its own)."""
+    solved = []
+    real = hcara.lp._solve
+
+    def spy(rows, objectives, num_vars, nonneg):
+        solved.append(tuple(rows))
+        return real(rows, objectives, num_vars, nonneg)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the invariants solved an LP")
+
+    monkeypatch.setattr(hcara.lp, "_solve", spy)
+    monkeypatch.setattr(hcara.invariants, "feasible_point", no_lp)
+    cube_polytope.cache_clear()
+    config = ExperimentConfig(
+        seed=42, trials=1, dim=2, max_normals=5, max_points=4,
+        coordinate_bound=3, scaling_depth=3,
+    )
+    counts = []
+    for i in range(16):
+        solved.clear()
+        record = run_trial(config, i)
+        outcomes = [s["outcome"] for s in record["scaling"]["schedule"]]
+        assert len(solved) == 2 + outcomes.count("does-not-fit")
+        assert len(set(solved)) == len(solved)
+        counts.append(len(solved))
+    assert sum(counts) == 32

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import named_normal_sets, random_normal_sets
+from conftest import named_normal_sets, named_polytopes, random_normal_sets
 from oracles import (
     all_subsets,
     brute_caratheodory,
@@ -16,7 +16,9 @@ from oracles import (
     lp_is_conical_position,
 )
 
+import hcara.invariants
 from hcara.errors import InputError
+from hcara.experiment import ExperimentConfig, random_instance
 from hcara.hconvex import NormalSet
 from hcara.invariants import (
     caratheodory_number,
@@ -27,7 +29,7 @@ from hcara.invariants import (
     positive_hull_contains,
     relaxed_cone_number,
 )
-from hcara.linear import rank, vsub
+from hcara.linear import conic_dependences, rank, vsub
 from hcara.shapes import (
     cube_normals,
     pyramid_normals,
@@ -492,3 +494,109 @@ class TestCaratheodoryDefinition:
             for idx in all_subsets(len(H.normals))
         )
         assert max(r.helly, r.relaxed_cone) == best
+
+
+def with_table(H):
+    """H built again with its conic-dependence table attached by hand, as a
+    ``Polytope`` attaches its own to its normal set."""
+    T = NormalSet(H.dim, H.normals)
+    object.__setattr__(T, "conic_dependences", conic_dependences(T.normals))
+    return T
+
+
+@st.composite
+def table_candidates(draw):
+    """NormalSets of 1 to d + 4 normals in dims 2-4, with negative multiples
+    of earlier members drawn on purpose, and every normal sometimes lifted
+    into the open upper halfspace, so one-sided sets come up often."""
+    dim = draw(st.integers(2, 4))
+    S = draw(st.lists(nonzero_vectors(dim), min_size=1, max_size=dim + 4))
+    for i in range(1, len(S)):
+        if draw(st.integers(0, 3)) == 0:
+            c = draw(st.sampled_from((F(-1), F(-2), F(-1, 2))))
+            S[i] = tuple(c * x for x in S[draw(st.integers(0, i - 1))])
+    if draw(st.booleans()):
+        S = [v[:-1] + (abs(v[-1]) + 1,) for v in S]
+    return NormalSet(dim, tuple(S))
+
+
+class TestTablePath:
+    """The cone search on a set with a table attached reads conical
+    position and hull avoidance off the table; a set built directly keeps
+    the LP definitions.  The two paths must give equal reports."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(table_candidates())
+    def test_agrees_with_lp_path(self, H):
+        T = with_table(H)
+        assert caratheodory_number(T) == caratheodory_number(H)
+        assert cone_number(T) == cone_number(H)
+        assert relaxed_cone_number(T) == relaxed_cone_number(H)
+
+    def test_one_sided_sets(self):
+        for H in (ONE_SIDED, NormalSet(2, ((1, 1), (-1, 1), (0, 1), (3, 2)))):
+            report = caratheodory_number(with_table(H))
+            assert report.one_sided and report == caratheodory_number(H)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, K, _ in named_polytopes() if len(K) <= 7]
+    )
+    def test_named_polytopes_against_brute_force(self, name):
+        H = dict((n, K) for n, K, _ in named_polytopes())[name].normal_set()
+        assert H.conic_dependences is not None
+        assert helly_number(H) == brute_helly(H)
+        assert cone_number(H) == brute_cone(H)
+        assert relaxed_cone_number(H) == brute_relaxed_cone(H)
+
+    def test_solves_no_lp(self, monkeypatch):
+        sets = [K.normal_set() for _, K, _ in named_polytopes()]
+        sets += [with_table(H) for H in random_normal_sets(30, seed=9, max_dim=4)]
+        expected = [caratheodory_number(NormalSet(H.dim, H.normals)) for H in sets]
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(hcara.invariants, "feasible_point", no_lp)
+        assert [caratheodory_number(H) for H in sets] == expected
+
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_the_table_chooses_the_path(self, monkeypatch, attached):
+        H = pyramid_normals(5)
+        H = with_table(H) if attached else NormalSet(H.dim, H.normals)
+        expected = caratheodory_number(pyramid_normals(5))
+        calls = []
+        for name in ("is_conical_position", "positive_hull_contains"):
+            def spy(*args, _name=name, _real=getattr(hcara.invariants, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(hcara.invariants, name, spy)
+        assert caratheodory_number(H) == expected
+        if attached:
+            assert calls == []
+        else:
+            assert "is_conical_position" in calls and "positive_hull_contains" in calls
+
+
+class TestSubsetBound:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_polytopes(self, dim):
+        """max(helly, relaxed_cone) of a polytope's normal set, on the table
+        path, is the largest Caratheodory number of a nonempty subset, each
+        subset built directly and so decided on the LP path."""
+        config = ExperimentConfig(
+            seed=0, trials=1, dim=dim, max_normals=6, max_points=1,
+            coordinate_bound=3, scaling_depth=0,
+        )
+        sizes = []
+        for trial in range(12):
+            H = random_instance(config, trial)[0].normal_set()
+            r = caratheodory_number(H)
+            best = max(
+                caratheodory_number(
+                    NormalSet(H.dim, tuple(H.normals[i] for i in idx))
+                ).caratheodory
+                for idx in all_subsets(len(H.normals))
+            )
+            assert max(r.helly, r.relaxed_cone) == best
+            sizes.append(len(H))
+        assert max(sizes) == 6

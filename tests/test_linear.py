@@ -2,17 +2,21 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import bareiss_rank, gram_solve_linear
 
+import hcara.experiment
 import hcara.linear
 import hcara.lp
 from hcara.errors import InputError
+from hcara.experiment import ExperimentConfig, random_instance
 from hcara.linear import (
+    conic_dependences,
     dot,
     primitive_direction,
     rank,
+    restrict,
     solve_linear,
     vadd,
     vscale,
@@ -268,3 +272,49 @@ class TestPrimitiveDirection:
         if all(x == 0 for x in v):
             return
         assert primitive_direction(v) == primitive_direction(vscale(v, c))
+
+
+class TestRestrict:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_a_fresh_build(self, data):
+        # families draws dims 1-4 with repeated, parallel and antiparallel
+        # members; the table has no room for the zero vector.
+        vs = [v for v in data.draw(families(max_size=6)) if any(v)]
+        assume(vs)
+        keep = sorted(data.draw(st.sets(st.integers(0, len(vs) - 1), min_size=1)))
+        assert restrict(conic_dependences(vs), keep) == conic_dependences(
+            [vs[i] for i in keep]
+        )
+
+    def test_keep_everything(self):
+        table = conic_dependences([(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 2)])
+        assert restrict(table, range(5)) == table
+
+    @pytest.mark.parametrize("keep", [[1, 0], [0, 0], [0, 5], [-1], [True]])
+    def test_bad_keep(self, keep):
+        table = conic_dependences([(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 2)])
+        with pytest.raises(InputError, match="increasing indices"):
+            restrict(table, keep)
+
+    def test_random_instance_polytopes(self, monkeypatch):
+        # The table a drawn polytope carries is the drawn rows' table
+        # restricted to the kept rows; some draws prune a row.
+        pruned = []
+        real = hcara.experiment.restrict
+
+        def spy(table, keep):
+            pruned.append(len(keep) < len(table[1]))
+            return real(table, keep)
+
+        monkeypatch.setattr(hcara.experiment, "restrict", spy)
+        for dim in (2, 3, 4):
+            config = ExperimentConfig(
+                seed=11, trials=1, dim=dim, max_normals=dim + 3, max_points=1,
+                coordinate_bound=3, scaling_depth=0,
+            )
+            for trial in range(12):
+                K, _ = random_instance(config, trial)
+                assert K.conic_dependences == conic_dependences(K.normals)
+                assert K.normal_set().conic_dependences is K.conic_dependences
+        assert any(pruned)

@@ -35,7 +35,7 @@ from hcara.shapes import (
 )
 from hcara.strong import (
     Polytope,
-    _member_with_supports,
+    _FacetRegion,
     _translate_rows,
     fits_in_translate,
     guard_assignment,
@@ -242,6 +242,31 @@ class TestValidationFromTable:
     @given(row_systems())
     def test_agrees_with_lp_checks(self, system):
         assert _verdict(*system) == _lp_verdict(*system)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_systems())
+    def test_a_given_table_meets_the_same_checks(self, system):
+        # The private path of random_instance takes the table it is handed
+        # and builds none, but checks the rows as Polytope(...) does.
+        dim, normals, offsets = system
+        table = conic_dependences(normals)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table was built again")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hcara.strong, "conic_dependences", no_table)
+            try:
+                K = Polytope._with_table(dim, tuple(normals), tuple(offsets), table)
+            except InputError as exc:
+                verdict = str(exc)
+            else:
+                verdict = None
+                assert K.conic_dependences is table
+                assert K.normal_set().conic_dependences is table
+        assert verdict == _verdict(*system)
+        if verdict is None:
+            assert K == Polytope(dim, tuple(normals), tuple(offsets))
 
     def test_construction_solves_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
@@ -463,7 +488,7 @@ class TestTablePath:
         assert tight == _facet_lp_supports(self.PENTAGON, supports)
         assert not h_hull_contains(self.PENTAGON.normal_set(), X, p)
         assert strong_hull_contains(self.PENTAGON, X, p)
-        assert _member_with_supports(self.PENTAGON, supports, p)
+        assert _FacetRegion(self.PENTAGON, supports).contains(p)
         assert _int_member(self.PENTAGON, X, p) is True
         assert minimal_strong_witness(self.PENTAGON, X, p) == X
 
@@ -485,7 +510,7 @@ class TestTablePath:
         X = PointSet(2, X)
         supports = [support(X, a) for a in K.normals]
         assert tight_supports(K, supports) == _facet_lp_supports(K, supports)
-        assert _member_with_supports(K, supports, p) is member
+        assert _FacetRegion(K, supports).contains(p) is member
         assert _int_member(K, X, p) is member
 
     @settings(max_examples=120, deadline=None)
@@ -494,9 +519,10 @@ class TestTablePath:
         K, X, queries = case
         supports = [support(X, a) for a in K.normals]
         tight = tight_supports(K, supports)
+        region = _FacetRegion(K, supports)
         for p in queries:
             try:
-                lp_member = _member_with_supports(K, supports, p)
+                lp_member = region.contains(p)
             except PreconditionError:
                 assert tight is None
                 assert _int_member(K, X, p) is None
@@ -781,11 +807,21 @@ class TestHullImplication:
         assert h_subset_strong_check(CUBE2, X, (F(1), F(1)))
 
     @pytest.mark.parametrize("p,inside", [((F(1), F(0)), True), ((F(3), F(0)), False)])
-    def test_supports_computed_once(self, monkeypatch, p, inside):
-        # One support per normal decides the restricted hull, then the facet
-        # LPs (p inside) or the fit LP (p outside) take the same supports.
+    def test_one_region_per_point_set(self, monkeypatch, p, inside):
+        # The restricted hull is read off the int levels, with no support
+        # per normal; (1, 0) lies on its boundary.  A point inside reads the
+        # region's facet optima, every one for a member, and a point outside
+        # only the first, which carries phase 1's verdict.  Any number of
+        # points share the one maximize_each of X: no fit LP of its own.
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
         calls = []
+        read = []
+
+        def each(rows, objectives, num_vars, nonneg=False):
+            calls.append("maximize_each")
+            for outcome in hcara.lp.maximize_each(rows, objectives, num_vars, nonneg):
+                read.append(outcome.status)
+                yield outcome
 
         def spy(name, real):
             def wrapped(*args, **kwargs):
@@ -793,9 +829,24 @@ class TestHullImplication:
                 return real(*args, **kwargs)
             monkeypatch.setattr(hcara.strong, name, wrapped)
 
-        for name in ("support", "maximize_each", "feasible_point"):
+        for name in ("support", "feasible_point"):
             spy(name, getattr(hcara.strong, name))
+        monkeypatch.setattr(hcara.strong, "maximize_each", each)
         assert h_hull_contains(CUBE2.normal_set(), X, p) is inside
         assert h_subset_strong_check(CUBE2, X, p)
-        lp = "maximize_each" if inside else "feasible_point"
-        assert calls == ["support"] * len(CUBE2) + [lp]
+        assert calls == ["maximize_each"]
+        assert len(read) == (len(CUBE2) if inside else 1)
+        assert h_subset_strong_check(CUBE2, X, p, (F(1), F(0)), (F(3), F(0)), p)
+        assert calls == ["maximize_each"] * 2
+        # the second region reads every optimum once, for (1, 0)
+        assert len(read) == (len(CUBE2) if inside else 1) + len(CUBE2)
+
+    def test_no_points_and_errors(self):
+        X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
+        assert h_subset_strong_check(CUBE2, X)
+        wide = PointSet(2, ((F(0), F(0)), (F(2), F(0))))
+        for points in ([(F(1), F(0))], [(F(3), F(0))], [(F(3), F(0)), (F(1), F(0))]):
+            with pytest.raises(PreconditionError, match="does not fit"):
+                h_subset_strong_check(CUBE2, wide, *points)
+        with pytest.raises(InputError, match="wrong dimension"):
+            h_subset_strong_check(CUBE2, X, (F(1), F(0)), (F(1),))
