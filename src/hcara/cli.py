@@ -156,8 +156,11 @@ def _cmd_experiment(args) -> int:
     report = run_suite(config, parallel=args.parallel)
     doc = dump_canonical(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     if args.json:
         sys.stdout.write(doc)
     else:

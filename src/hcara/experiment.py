@@ -35,7 +35,7 @@ from .linear import (
 from .shapes import cube_polytope
 from .strong import (
     Polytope,
-    _region,
+    _FacetRegion,
     fits_in_translate,
     guard_assignment,
     h_subset_strong_check,
@@ -325,17 +325,12 @@ def _cube_equality_record(rng, dim, bound) -> dict:
         _convex_combination(rng, X, bound),
         tuple(Fraction(rng.randint(-bound, 2 * bound), bound) for _ in range(dim)),
     ]
-    region, _ = _region(K, X)
-    ok = True
-    mismatches = []
-    for q in queries:
-        h_member = h_hull_contains(H, X, q)
-        s_member = region.contains(q)
-        if h_member != s_member:
-            ok = False
-            mismatches.append(vector_to_json(q))
+    region = _FacetRegion(K, X)
+    mismatches = [
+        vector_to_json(q) for q in queries if h_hull_contains(H, X, q) != region.contains(q)
+    ]
     return {
-        "ok": ok,
+        "ok": not mismatches,
         "points": X.to_json(),
         "queries": [vector_to_json(q) for q in queries],
         "mismatches": mismatches,

@@ -4,6 +4,9 @@ The hull of a finite point set X under a normal set H is
 ``{p : <a, p> <= max_{x in X} <a, x> for every a in H}``.  Everything here is
 positively homogeneous in the normals, so they are kept as arbitrary nonzero
 rational vectors instead of being forced onto the unit sphere.
+
+Membership, minimal witnesses and point-set verdicts compare the int levels
+of ``linear.levels``; ``support`` stays the ``dot`` definition.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import Vector, dot, exact, is_zero_vector, primitive_direction
+from .linear import Vector, dot, exact, is_zero_vector, levels, primitive_direction
 
 __all__ = [
     "NormalSet",
@@ -198,26 +201,31 @@ def support(X: PointSet, a: Vector) -> Fraction:
     return max(dot(a, p) for p in X.points)
 
 
-def h_hull_contains(H: NormalSet, X: PointSet, p: Vector) -> bool:
-    """Membership of p in the hull of X restricted to normals H."""
+def _subset_test(H: NormalSet, X: PointSet, p: Vector):
+    """After the input checks of a hull query, the test of p against the
+    restricted hull of X[idx]: no level of p above the subset's top level,
+    read off one level matrix of H against X and then p."""
     _check_joint(H, X)
     if not X.points:
         raise InputError("hull of an empty point set is undefined")
     p = tuple(exact(c) for c in p)
     if len(p) != H.dim:
         raise InputError("query point has the wrong dimension")
-    for a in H.normals:
-        if dot(a, p) > support(X, a):
-            return False
-    return True
+    _, M = levels(H.normals, X.points + (p,))
+    return lambda idx: all(row[-1] <= max(row[j] for j in idx) for row in M)
+
+
+def h_hull_contains(H: NormalSet, X: PointSet, p: Vector) -> bool:
+    """Membership of p in the hull of X restricted to normals H."""
+    return _subset_test(H, X, p)(range(len(X)))
 
 
 def point_set_verdicts(
     H: NormalSet, X: PointSet
 ) -> tuple[bool, bool, ExclusionAssignment | None]:
     """``(covering, drop_one, assignment)`` of X under H, read off one sign
-    matrix rows[i][j] = (<a_i, x_j> >= 0), each row kept as the indices j
-    where it is True.
+    matrix rows[i][j] = (<a_i, x_j> >= 0), the signs of the levels, each row
+    kept as the indices j where it is True.
 
     X covers when no row is all False.  Dropping x_j uncovers exactly when
     some row is True at j at most, and drop-one holds when that is so for
@@ -228,8 +236,8 @@ def point_set_verdicts(
     """
     _check_joint(H, X)
     rows = [
-        tuple(j for j, x in enumerate(X.points) if dot(a, x) >= 0)
-        for a in H.normals
+        tuple(j for j, v in enumerate(row) if v >= 0)
+        for row in levels(H.normals, X.points)[1]
     ]
     points = range(len(X.points))
     covering = all(rows)
@@ -258,8 +266,9 @@ def minimal_h_witness(H: NormalSet, X: PointSet, p: Vector) -> PointSet:
     """Minimum-cardinality subset of X whose restricted hull still contains p.
 
     Exhaustive search by increasing size, lexicographic index order inside a
-    size, so the result is canonical.
+    size, so the result is canonical.  One level matrix serves every subset.
     """
-    if not h_hull_contains(H, X, p):
+    contains = _subset_test(H, X, p)
+    if not contains(range(len(X))):
         raise PreconditionError("query point is not in the hull of X")
-    return X.minimal_subset(lambda idx: h_hull_contains(H, X.subset(idx), p))
+    return X.minimal_subset(contains)

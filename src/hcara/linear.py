@@ -77,6 +77,19 @@ def clear_denominators(v) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in v], scale
 
 
+def levels(vectors, points) -> tuple[int, list[list[int]]]:
+    """One common L > 0 and M[i][j] = L <a_i, x_j> as ints, which order and
+    sign as the inner products do: L is the vectors' common denominator
+    times the points', so every entry is an int dot product."""
+    qa = lcm(*(c.denominator for a in vectors for c in a))
+    qx = lcm(*(c.denominator for x in points for c in x))
+    xs = [[c.numerator * (qx // c.denominator) for c in x] for x in points]
+    return qa * qx, [
+        [sum(a * v for a, v in zip(A, x)) for x in xs]
+        for A in ([c.numerator * (qa // c.denominator) for c in a] for a in vectors)
+    ]
+
+
 def reduced_row(row: list[int]) -> list[int]:
     """An int row divided by the gcd of its entries."""
     g = gcd(*row)

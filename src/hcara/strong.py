@@ -25,10 +25,14 @@ Two paths decide this, and each checks the other:
   the least <lam_B, c_B> / d over the representations d a_i = sum lam_j a_j,
   so p is in the hull exactly when every a_i has a representation with
   d (<a_i, p> - b_i) + <lam_B, c_B> <= 0.  Both searches take the supports
-  and offsets times one common L > 0 as ints (``_levels``), so every test is
-  an integer inequality.  Scaling X by eps scales its supports, so the same
-  rules give, for each subset, the interval of eps at which the origin lies
-  in the hull of eps times it.
+  and offsets times one common L > 0 as ints (``linear.levels``, with L
+  raised to clear the offsets too), so every test is an integer inequality.
+  Scaling X by eps scales its supports, so the same rules give, for each
+  subset, the interval of eps at which the origin lies in the hull of eps
+  times it.
+
+The supports of X come from the same levels, and the restricted hull from
+``hconvex.h_hull_contains``: a hull check weighs ints against facet LPs.
 
 K bounded makes the region bounded, so the optima exist.  ``Polytope``
 construction reads its own validity checks off the same table, with no LP.
@@ -41,7 +45,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
-from .hconvex import NormalSet, PointSet, support
+from .hconvex import NormalSet, PointSet, h_hull_contains
 from .jsonio import (
     positive_int,
     rational_from_json,
@@ -50,9 +54,7 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import (
-    Vector, clear_denominators, conic_dependences, dot, exact, rank, vneg,
-)
+from .linear import Vector, conic_dependences, dot, exact, levels, rank, vneg
 from .lp import GE, LpStatus, feasible_point, maximize_each
 
 __all__ = [
@@ -191,11 +193,13 @@ class Polytope:
         )
 
 
-def _translate_rows(K: Polytope, supports):
-    """X lies in K + t exactly when <a_i, t> >= support_i - b_i for every i."""
+def _translate_rows(K: Polytope, X: PointSet):
+    """X lies in K + t exactly when <a_i, t> >= s_i - b_i for every i, with
+    s_i the support of X, read off the int levels of ``linear.levels``."""
+    L, M = levels(K.normals, X.points)
     return [
-        (a, GE, s - b)
-        for a, s, b in zip(K.normals, supports, K.offsets)
+        (a, GE, Fraction(max(row), L) - b)
+        for a, row, b in zip(K.normals, M, K.offsets)
     ]
 
 
@@ -209,22 +213,21 @@ def _check_joint(K: Polytope, X: PointSet):
 def fits_in_translate(K: Polytope, X: PointSet) -> Vector | None:
     """A translate vector t with X inside K + t, or None if none exists."""
     _check_joint(K, X)
-    supports = [support(X, a) for a in K.normals]
-    return feasible_point(_translate_rows(K, supports), K.dim, nonneg=False)
+    return feasible_point(_translate_rows(K, X), K.dim, nonneg=False)
 
 
 class _FacetRegion:
-    """The translate region {t : X in K + t} of one point set X, given by the
-    supports of X, and the m facet maxima of the strong hull over it.
+    """The translate region {t : X in K + t} of one point set X, given by its
+    supports, and the m facet maxima of the strong hull over it.
 
     The maxima depend on X alone, not on a query point, so every query on X
     reads one ``lp.maximize_each``: one phase 1 for the region, and each
     facet's phase 2 the first time a query reaches that facet."""
 
-    def __init__(self, K: Polytope, supports):
+    def __init__(self, K: Polytope, X: PointSet):
         self._K = K
         self._outcomes = maximize_each(
-            _translate_rows(K, supports), [vneg(a) for a in K.normals], K.dim
+            _translate_rows(K, X), [vneg(a) for a in K.normals], K.dim
         )
         self._optima = []
 
@@ -260,20 +263,6 @@ class _FacetRegion:
         return True
 
 
-def _region(K: Polytope, X: PointSet, queries=()):
-    """The facet region of X and, per query, whether it lies in the
-    restricted hull of X, <a_i, q> <= s_i for every i.  The supports s and
-    that test come from the int levels of :func:`_levels`."""
-    L, _, levels = _levels(K, X.points + tuple(queries))
-    n = len(X)
-    tops = [max(row[:n]) for row in levels]
-    inside = [
-        all(row[k] <= t for row, t in zip(levels, tops))
-        for k in range(n, n + len(queries))
-    ]
-    return _FacetRegion(K, [Fraction(t, L) for t in tops]), inside
-
-
 def _query(K: Polytope, X: PointSet, p: Vector) -> Vector:
     """p as an exact vector, after the input checks of a strong-hull query."""
     _check_joint(K, X)
@@ -289,26 +278,15 @@ def strong_hull_contains(K: Polytope, X: PointSet, p: Vector) -> bool:
     Raises PreconditionError unless X fits in some translate of K.
     """
     p = _query(K, X, p)
-    region, _ = _region(K, X)
-    return region.contains(p)
+    return _FacetRegion(K, X).contains(p)
 
 
 def _levels(K: Polytope, points):
-    """One common L > 0, then L b and, per row i, L <a_i, x> for each of the
-    points, all ints.  The normal coordinates share one denominator, and so
-    do the points', so every inner product is an int dot product."""
-    dim = K.dim
-    flat_a, qa = clear_denominators([c for a in K.normals for c in a])
-    flat_x, qx = clear_denominators([c for x in points for c in x])
-    offsets, qb = clear_denominators(K.offsets)
-    L = lcm(qa * qx, qb)
-    rows = [flat_a[k:k + dim] for k in range(0, len(flat_a), dim)]
-    xs = [[L // (qa * qx) * v for v in flat_x[k:k + dim]] for k in range(0, len(flat_x), dim)]
-    return (
-        L,
-        [L // qb * b for b in offsets],
-        [[sum(a * v for a, v in zip(A, x)) for x in xs] for A in rows],
-    )
+    """``(L b, M)``, all ints: M the levels L <a_i, x> of ``linear.levels``
+    of K's normals against the points, with L raised to clear the offsets."""
+    L, M = levels(K.normals, points)
+    k = lcm(L, *(b.denominator for b in K.offsets)) // L
+    return [int(k * L * b) for b in K.offsets], [[k * v for v in row] for row in M]
 
 
 def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
@@ -322,12 +300,12 @@ def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
     """
     p = _query(K, X, p)
     circuits, reps = K.conic_dependences
-    _, lb, levels = _levels(K, X.points + (p,))
-    E = [row[-1] - b for row, b in zip(levels, lb)]
+    lb, M = _levels(K, X.points + (p,))
+    E = [row[-1] - b for row, b in zip(M, lb)]
 
     def contains(idx):
         """Membership of p in the hull of X[idx]; None when X[idx] fits nowhere."""
-        C = [b - max(row[j] for j in idx) for row, b in zip(levels, lb)]
+        C = [b - max(row[j] for j in idx) for row, b in zip(M, lb)]
         if any(_weighted(S, mu, C) < 0 for S, mu in circuits):
             return None
         return all(
@@ -358,11 +336,11 @@ def shrink_intervals(K: Polytope, X: PointSet):
     """
     _check_joint(K, X)
     circuits, reps = K.conic_dependences
-    _, lb, levels = _levels(K, X.points)
+    lb, M = _levels(K, X.points)
     out = []
     for k in range(1, len(X) + 1):
         for idx in combinations(range(len(X)), k):
-            S = [max(row[j] for j in idx) for row in levels]
+            S = [max(row[j] for j in idx) for row in M]
             fit = min((
                 Fraction(_weighted(T, mu, lb), t)
                 for T, mu in circuits if (t := _weighted(T, mu, S)) > 0
@@ -381,16 +359,16 @@ def guard_assignment(K: Polytope, X: PointSet, p: Vector):
     <a, x> >= <a, p> and <a, x> > <a, y> for every other y in X.
 
     Returns the full map {point index: normal index} or None when some point
-    has no such normal.  Compares the int levels L <a, x> of ``_levels``,
-    which order as the inner products do since L > 0.
+    has no such normal.  Compares the int levels L <a, x> of
+    ``linear.levels``, which order as the inner products do since L > 0.
     """
     p = _query(K, X, p)
-    _, _, levels = _levels(K, X.points + (p,))
+    _, M = levels(K.normals, X.points + (p,))
     n = len(X)
     out = {}
     for j in range(n):
         found = next((
-            i for i, row in enumerate(levels)
+            i for i, row in enumerate(M)
             if row[j] >= row[n] and all(row[j] > row[k] for k in range(n) if k != j)
         ), None)
         if found is None:
@@ -405,14 +383,15 @@ def h_subset_strong_check(K: Polytope, X: PointSet, *points) -> bool:
     must imply membership in the latter.  Always true mathematically;
     exercised as a runtime property.
 
+    Restricted membership is ``h_hull_contains`` under the normals of K.
     All the points share the one facet region of X: a point inside the
     restricted hull is decided by the region's facet LPs, and a point
     outside needs only the region's phase 1, which must find that X fits."""
     _check_joint(K, X)
     points = [_query(K, X, p) for p in points]
-    region, inside = _region(K, X, points)
-    for p, restricted in zip(points, inside):
-        if restricted:
+    region = _FacetRegion(K, X)
+    for p in points:
+        if h_hull_contains(K.normal_set(), X, p):
             if not region.contains(p):
                 return False
         elif not region.fits():

@@ -156,6 +156,14 @@ def brute_point_set_verdicts(H, X):
     return covering, drop_one, tuple(chosen)
 
 
+def brute_h_hull_contains(H, X, p):
+    """Membership of p in the hull of X under H from ``dot`` alone: no normal
+    sees p above its largest inner product with a point of X."""
+    return all(
+        dot(a, p) <= max(dot(a, x) for x in X.points) for a in H.normals
+    )
+
+
 def brute_caratheodory(H):
     """The Caratheodory number of H from the definition: the largest
     minimum-size witness of p in the restricted hull of X.

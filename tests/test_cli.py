@@ -116,6 +116,12 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_suite", lambda config, parallel: synthetic)
         assert main(["experiment", "--trials", "1"]) == 1
 
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        out = tmp_path / "no-such-dir" / "report.json"
+        assert main(["experiment", "--trials", "1", "--out", str(out)]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_input_error(self, capsys):
         assert main(["cara", "missing.json"]) == 2
         assert "error" in capsys.readouterr().err

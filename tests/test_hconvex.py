@@ -1,9 +1,10 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_point_set_verdicts
+from oracles import brute_h_hull_contains, brute_point_set_verdicts
 
 from hcara.errors import InputError, PreconditionError
 from hcara.hconvex import (
@@ -51,6 +52,14 @@ def normal_and_point_sets():
                 lambda pts: PointSet(dim, tuple(pts))
             ),
         )
+    )
+
+
+def hull_queries():
+    """An H of 0 to 5 normals, a nonempty X of up to 4 points and a query
+    point, in dim 2 or 3."""
+    return st.integers(2, 3).flatmap(
+        lambda dim: st.tuples(normal_sets(dim, min_normals=0), point_sets(dim), vectors(dim))
     )
 
 
@@ -141,6 +150,16 @@ class TestHullMembership:
         for x in X.points:
             assert h_hull_contains(H, X, x)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hull_queries())
+    @example((BOX, PointSet(2, ((F(0), F(0)), (F(2), F(3)))), (F(2), F(0))))
+    @example((NormalSet(2, ()), PointSet(2, ((F(1), F(0)),)), (F(9), F(9))))
+    def test_agrees_with_the_definition(self, case):
+        # the first example lies on the boundary, the second in the hull of
+        # no normals, which is the whole plane
+        H, X, p = case
+        assert h_hull_contains(H, X, p) == brute_h_hull_contains(H, X, p)
+
     @settings(max_examples=50, deadline=None)
     @given(normal_sets(2), point_sets(2, max_points=4), vectors(2))
     def test_monotone_in_the_point_set(self, H, X, p):
@@ -230,6 +249,23 @@ class TestMinimalWitness:
         X = PointSet(2, ((F(0), F(0)),))
         with pytest.raises(PreconditionError):
             minimal_h_witness(BOX, X, (F(1), F(1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hull_queries())
+    @example((BOX, PointSet(2, ((F(0), F(-1)), (F(-1), F(0)), (F(5), F(5)))), (F(0), F(0))))
+    def test_first_subset_the_definition_accepts(self, case):
+        H, X, p = case
+        if not brute_h_hull_contains(H, X, p):
+            with pytest.raises(PreconditionError):
+                minimal_h_witness(H, X, p)
+            return
+        first = next(
+            X.subset(idx)
+            for k in range(1, len(X) + 1)
+            for idx in combinations(range(len(X)), k)
+            if brute_h_hull_contains(H, X.subset(idx), p)
+        )
+        assert minimal_h_witness(H, X, p) == first
 
 
 class TestScalingInvariance:

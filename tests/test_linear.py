@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import bareiss_rank, gram_solve_linear
 
@@ -14,6 +14,7 @@ from hcara.experiment import ExperimentConfig, random_instance
 from hcara.linear import (
     conic_dependences,
     dot,
+    levels,
     primitive_direction,
     rank,
     restrict,
@@ -226,6 +227,32 @@ class TestDot:
         a, b = (good, other) if side == 0 else (other, good)
         with pytest.raises(InputError):
             dot(a, b)
+
+
+@st.composite
+def level_cases(draw):
+    """Up to four vectors and up to four points of one dimension 1-4, with
+    fractional entries, entries far past machine words and zeros."""
+    vector = st.tuples(*[entries] * draw(st.integers(1, 4)))
+    return draw(st.lists(vector, max_size=4)), draw(st.lists(vector, max_size=4))
+
+
+class TestLevels:
+    @settings(max_examples=200, deadline=None)
+    @given(level_cases())
+    @example(([], [(F(1, 2), F(-2, 3))]))
+    @example(([(F(3, 4), F(1, 6))], []))
+    @example(([(F(1, 2), F(1, 3))], [(F(2, 3), F(1, 2)), (F(0), F(-5, 7))]))
+    def test_matches_dot(self, case):
+        vectors, points = case
+        L, M = levels(vectors, points)
+        assert type(L) is int and L > 0
+        assert len(M) == len(vectors)
+        for a, row in zip(vectors, M):
+            assert len(row) == len(points)
+            for x, value in zip(points, row):
+                assert type(value) is int
+                assert value == L * dot(a, x)
 
 
 class TestFloatsRejected:

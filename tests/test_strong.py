@@ -15,6 +15,7 @@ from oracles import (
     tight_supports,
 )
 
+import hcara.hconvex
 import hcara.lp
 import hcara.strong
 from hcara.errors import InputError, PreconditionError
@@ -456,10 +457,10 @@ def _int_member(K, X, p):
     return outcome != "query point is not in the hull of X"
 
 
-def _facet_lp_supports(K, supports):
-    """b_i minus the optimum of facet i's LP, the same limit as
-    ``tight_supports`` computed by the simplex."""
-    rows = _translate_rows(K, supports)
+def _facet_lp_supports(K, X):
+    """b_i minus the optimum of facet i's LP over the translate region of X,
+    the same limit as ``tight_supports`` computed by the simplex."""
+    rows = _translate_rows(K, X)
     return [
         b - maximize(rows, vneg(a), K.dim, nonneg=False).value
         for a, b in zip(K.normals, K.offsets)
@@ -485,10 +486,10 @@ class TestTablePath:
         supports = [support(X, a) for a in self.PENTAGON.normals]
         tight = tight_supports(self.PENTAGON, supports)
         assert tight == [1, 1, 0, 0, F(3, 2)]
-        assert tight == _facet_lp_supports(self.PENTAGON, supports)
+        assert tight == _facet_lp_supports(self.PENTAGON, X)
         assert not h_hull_contains(self.PENTAGON.normal_set(), X, p)
         assert strong_hull_contains(self.PENTAGON, X, p)
-        assert _FacetRegion(self.PENTAGON, supports).contains(p)
+        assert _FacetRegion(self.PENTAGON, X).contains(p)
         assert _int_member(self.PENTAGON, X, p) is True
         assert minimal_strong_witness(self.PENTAGON, X, p) == X
 
@@ -509,8 +510,8 @@ class TestTablePath:
         assert ((0, 1), (1, 1), 3) in K.conic_dependences[1][2]
         X = PointSet(2, X)
         supports = [support(X, a) for a in K.normals]
-        assert tight_supports(K, supports) == _facet_lp_supports(K, supports)
-        assert _FacetRegion(K, supports).contains(p) is member
+        assert tight_supports(K, supports) == _facet_lp_supports(K, X)
+        assert _FacetRegion(K, X).contains(p) is member
         assert _int_member(K, X, p) is member
 
     @settings(max_examples=120, deadline=None)
@@ -519,7 +520,7 @@ class TestTablePath:
         K, X, queries = case
         supports = [support(X, a) for a in K.normals]
         tight = tight_supports(K, supports)
-        region = _FacetRegion(K, supports)
+        region = _FacetRegion(K, X)
         for p in queries:
             try:
                 lp_member = region.contains(p)
@@ -528,7 +529,7 @@ class TestTablePath:
                 assert _int_member(K, X, p) is None
             else:
                 assert _int_member(K, X, p) == lp_member
-                assert tight == _facet_lp_supports(K, supports)
+                assert tight == _facet_lp_supports(K, X)
                 table_member = all(dot(a, p) <= t for a, t in zip(K.normals, tight))
                 assert table_member == lp_member
             assert _outcome(minimal_strong_witness, K, X, p) == _outcome(
@@ -597,7 +598,7 @@ class TestTablePath:
         # so the query takes the region's phase 1 and facet 0's phase 2 and
         # no later facet's; a member takes every facet's phase 2.
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
-        rows = _translate_rows(CUBE2, [support(X, a) for a in CUBE2.normals])
+        rows = _translate_rows(CUBE2, X)
         pivots = []
         real = hcara.lp.pivot
 
@@ -808,8 +809,8 @@ class TestHullImplication:
 
     @pytest.mark.parametrize("p,inside", [((F(1), F(0)), True), ((F(3), F(0)), False)])
     def test_one_region_per_point_set(self, monkeypatch, p, inside):
-        # The restricted hull is read off the int levels, with no support
-        # per normal; (1, 0) lies on its boundary.  A point inside reads the
+        # The restricted hull is h_hull_contains under K's normals, once per
+        # point; (1, 0) lies on its boundary.  A point inside reads the
         # region's facet optima, every one for a member, and a point outside
         # only the first, which carries phase 1's verdict.  Any number of
         # points share the one maximize_each of X: no fit LP of its own.
@@ -829,15 +830,19 @@ class TestHullImplication:
                 return real(*args, **kwargs)
             monkeypatch.setattr(hcara.strong, name, wrapped)
 
-        for name in ("support", "feasible_point"):
+        for name in ("h_hull_contains", "feasible_point"):
             spy(name, getattr(hcara.strong, name))
+        # no Fraction support per normal on either side
+        assert not hasattr(hcara.strong, "support")
+        monkeypatch.setattr(hcara.hconvex, "dot", lambda *args: calls.append("dot"))
         monkeypatch.setattr(hcara.strong, "maximize_each", each)
         assert h_hull_contains(CUBE2.normal_set(), X, p) is inside
         assert h_subset_strong_check(CUBE2, X, p)
-        assert calls == ["maximize_each"]
+        assert calls == ["h_hull_contains", "maximize_each"]
         assert len(read) == (len(CUBE2) if inside else 1)
+        calls.clear()
         assert h_subset_strong_check(CUBE2, X, p, (F(1), F(0)), (F(3), F(0)), p)
-        assert calls == ["maximize_each"] * 2
+        assert sorted(calls) == ["h_hull_contains"] * 4 + ["maximize_each"]
         # the second region reads every optimum once, for (1, 0)
         assert len(read) == (len(CUBE2) if inside else 1) + len(CUBE2)
 

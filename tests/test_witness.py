@@ -12,7 +12,7 @@ from hcara.errors import InputError, NotMaximalWitnessError
 from hcara.hconvex import NormalSet, PointSet, covering_holds, minimal_h_witness
 from hcara.invariants import caratheodory_number
 from hcara.jsonio import dump_canonical
-from hcara.linear import dot
+from hcara.linear import dot, levels
 from hcara.shapes import cube_normals, pyramid_normals, triangle_normals
 from hcara.witness import (
     CONE,
@@ -199,18 +199,25 @@ class TestValidate:
         ids=["no-assignment", "assignment"],
     )
     def test_each_inner_product_once(self, monkeypatch, H, points):
-        # one sign matrix: |H| |X| inner products, plus the |X|^2 with which
+        # one sign matrix: one level matrix of H against X, with no Fraction
+        # inner product, plus the |X|^2 dots with which
         # ExclusionAssignment.build checks an assignment it is handed
         calls = []
 
         def counted(a, b):
-            calls.append(None)
+            calls.append("dot")
             return dot(a, b)
 
+        def counted_levels(vectors, points):
+            calls.append(("levels", len(vectors), len(points)))
+            return levels(vectors, points)
+
         monkeypatch.setattr(hcara.hconvex, "dot", counted)
+        monkeypatch.setattr(hcara.hconvex, "levels", counted_levels)
         rep = validate_witness(H, PointSet(H.dim, points))
         n = len(points)
-        assert len(calls) == len(H) * n + (n * n if rep.assignment is not None else 0)
+        assert calls[0] == ("levels", len(H), n)
+        assert calls[1:] == ["dot"] * (n * n if rep.assignment is not None else 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
