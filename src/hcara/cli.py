@@ -137,6 +137,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _write(path, mode, text) -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_experiment(args) -> int:
     if args.config:
         config = ExperimentConfig.from_json(load_json_file(args.config))
@@ -153,14 +161,13 @@ def _cmd_experiment(args) -> int:
         merged = config.to_json()
         merged.update(overrides)
         config = ExperimentConfig.from_json(merged)
+    if args.out:
+        # Fail before the trials run; append mode keeps an existing file.
+        _write(args.out, "a", "")
     report = run_suite(config, parallel=args.parallel)
     doc = dump_canonical(report)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
+        _write(args.out, "w", doc)
     if args.json:
         sys.stdout.write(doc)
     else:

@@ -26,7 +26,7 @@ from . import __version__
 from .errors import (
     InputError, InternalConsistencyError, PreconditionError, SamplingError,
 )
-from .hconvex import NormalSet, PointSet, h_hull_contains
+from .hconvex import NormalSet, PointSet
 from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
 from .linear import (
@@ -135,24 +135,24 @@ def _ray_exit_scale(K: Polytope, direction: Vector) -> Fraction:
 def random_instance(config: ExperimentConfig, trial_index: int):
     """Deterministic (polytope, point set) pair for one trial.
 
-    The polytope is rejection-sampled until bounded; its offsets are >= 1 so
-    the origin is interior, then redundant rows are pruned.  The drawn rows'
-    conic-dependence table, restricted to the kept rows, is the polytope's,
-    so each drawn polytope builds one table.  Points are drawn
-    inside the polytope along random rays from the origin and shifted by a
-    common random translate.
+    The polytope is rejection-sampled until bounded, decided in ints on the
+    raw draws, so a rejected draw costs only its rng calls; its offsets are
+    >= 1 so the origin is interior, then redundant rows are pruned.  The
+    accepted rows' conic-dependence table, restricted to the kept rows, is
+    the polytope's one table.  Points are drawn inside the polytope along
+    random rays from the origin and shifted by a common random translate.
     """
     rng = _trial_rng(config, trial_index)
     dim, cb = config.dim, config.coordinate_bound
     for _ in range(_REJECTION_BUDGET):
         m = rng.randint(dim + 1, config.max_normals)
         draws = [_rand_nonzero_vector(rng, dim, cb) for _ in range(m)]
+        if not spans_positively(draws, dim):
+            continue
         # one row per direction: parallel rows could doubly represent a
         # facet, and simultaneous redundancy pruning would drop both
         normals = NormalSet(dim, draws).normals
         table = conic_dependences(normals)
-        if not spans_positively(normals, dim, table):
-            continue
         # offsets >= 1 put the origin inside, as redundant_rows requires
         offsets = [Fraction(rng.randint(1, cb)) for _ in normals]
         bad = set(redundant_rows(offsets, table))
@@ -309,10 +309,10 @@ def check_guard_existence(K: Polytope, witness: PointSet, p: Vector) -> dict:
 
 def _cube_equality_record(rng, dim, bound) -> dict:
     """Membership equality of the two hulls on a cube, for one inside and one
-    arbitrary nearby query point; both strong verdicts read the facet LPs of
-    one region."""
+    arbitrary nearby query point; both queries share one region, whose one
+    level matrix gives the restricted verdicts and whose facet LPs give the
+    strong ones."""
     K = cube_polytope(dim)
-    H = K.normal_set()
     points = []
     seen = set()
     for _ in range(rng.randint(1, 4)):
@@ -325,9 +325,10 @@ def _cube_equality_record(rng, dim, bound) -> dict:
         _convex_combination(rng, X, bound),
         tuple(Fraction(rng.randint(-bound, 2 * bound), bound) for _ in range(dim)),
     ]
-    region = _FacetRegion(K, X)
+    region = _FacetRegion(K, X, queries)
     mismatches = [
-        vector_to_json(q) for q in queries if h_hull_contains(H, X, q) != region.contains(q)
+        vector_to_json(q) for j, q in enumerate(queries)
+        if region.in_h_hull(j) != region.contains(j)
     ]
     return {
         "ok": not mismatches,

@@ -201,6 +201,13 @@ def support(X: PointSet, a: Vector) -> Fraction:
     return max(dot(a, p) for p in X.points)
 
 
+def hull_rule(M, idx, j) -> bool:
+    """The restricted-hull rule on a level matrix M of the normals against
+    points: point j lies in the hull of the points idx exactly when none of
+    its levels lies above their top level."""
+    return all(row[j] <= max(row[k] for k in idx) for row in M)
+
+
 def _subset_test(H: NormalSet, X: PointSet, p: Vector):
     """After the input checks of a hull query, the test of p against the
     restricted hull of X[idx]: no level of p above the subset's top level,
@@ -212,7 +219,7 @@ def _subset_test(H: NormalSet, X: PointSet, p: Vector):
     if len(p) != H.dim:
         raise InputError("query point has the wrong dimension")
     _, M = levels(H.normals, X.points + (p,))
-    return lambda idx: all(row[-1] <= max(row[j] for j in idx) for row in M)
+    return lambda idx: hull_rule(M, idx, -1)
 
 
 def h_hull_contains(H: NormalSet, X: PointSet, p: Vector) -> bool:

@@ -132,7 +132,7 @@ def pivot(rows, r, c):
     return prow
 
 
-def _echelon(m, ncols) -> list[int]:
+def echelon(m, ncols) -> list[int]:
     """Bring the int matrix ``m`` to reduced echelon form in its first
     ``ncols`` columns, in place, by :func:`pivot`; later columns ride along
     as right-hand sides.  Returns the pivot columns: the k-th pivot sits in
@@ -164,7 +164,7 @@ def rank(vectors) -> int:
     vectors = exact_vectors(vectors, "rank")
     if not vectors:
         return 0
-    return len(_echelon([clear_denominators(v)[0] for v in vectors], len(vectors[0])))
+    return len(echelon([clear_denominators(v)[0] for v in vectors], len(vectors[0])))
 
 
 def solve_linear(rows, rhs) -> Vector | None:
@@ -185,7 +185,7 @@ def solve_linear(rows, rhs) -> Vector | None:
     dim, k = len(rows[0]), len(rows)
     A = [clear_denominators(r + (b,))[0] for r, b in zip(rows, rhs)]
     m = [[sum(x * y for x, y in zip(a[:dim], b)) for b in A] + [a[dim]] for a in A]
-    cols = _echelon(m, k)
+    cols = echelon(m, k)
     if any(row[k] for row in m[len(cols):]):
         return None
     # y_c = m[r][k] / m[r][c] for the pivot c of row r, free y_c = 0; over

@@ -45,8 +45,9 @@ class LpStatus(Enum):
 
 
 def _checked_rows(rows, num_vars):
-    """The rows checked for shape, width and relation, every value a
-    Fraction; InputError on anything malformed."""
+    """The rows checked for shape, width and relation, every value an int
+    or a Fraction as given, which the tableau clears alike; InputError on
+    anything malformed."""
     if num_vars < 1:
         raise InputError("a linear program needs at least one variable")
     checked = []
@@ -59,8 +60,13 @@ def _checked_rows(rows, num_vars):
             raise InputError(f"row has {len(coeffs)} coefficients, expected {num_vars}")
         if rel not in RELATIONS:
             raise InputError(f"unknown relation {rel!r}")
-        checked.append((tuple(exact(c) for c in coeffs), rel, exact(rhs)))
+        checked.append((tuple(map(_number, coeffs)), rel, _number(rhs)))
     return tuple(checked)
+
+
+def _number(value):
+    """An int kept as an int, anything else through ``linear.exact``."""
+    return value if type(value) is int else exact(value)
 
 
 def _checked_objective(objective, num_vars):

@@ -31,11 +31,13 @@ Two paths decide this, and each checks the other:
   subset, the interval of eps at which the origin lies in the hull of eps
   times it.
 
-The supports of X come from the same levels, and the restricted hull from
-``hconvex.h_hull_contains``: a hull check weighs ints against facet LPs.
+A region's rows are the same levels, so the simplex gets ints, and its
+restricted hull is ``hconvex``'s rule on them: a hull check weighs ints
+against facet LPs.
 
 K bounded makes the region bounded, so the optima exist.  ``Polytope``
-construction reads its own validity checks off the same table, with no LP.
+construction decides boundedness in ints before any table
+(``spans_positively``) and reads its other checks off the table, no LP.
 """
 from __future__ import annotations
 
@@ -43,9 +45,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
-from .hconvex import NormalSet, PointSet, h_hull_contains
+from .hconvex import NormalSet, PointSet, hull_rule
 from .jsonio import (
     positive_int,
     rational_from_json,
@@ -54,7 +57,8 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .linear import Vector, conic_dependences, dot, exact, levels, rank, vneg
+from .linear import Vector, clear_denominators, conic_dependences, dot, echelon
+from .linear import exact, levels, vneg
 from .lp import GE, LpStatus, feasible_point, maximize_each
 
 __all__ = [
@@ -74,18 +78,26 @@ def _weighted(indices, coeffs, values):
     return sum(x * values[j] for j, x in zip(indices, coeffs))
 
 
-def spans_positively(normals, dim, table) -> bool:
+def spans_positively(normals, dim) -> bool:
     """True iff the positive hull of the normals is all of R^dim, which is
-    exactly boundedness of any polytope with those outer normals; ``table``
-    is ``linear.conic_dependences(normals)``.
+    exactly boundedness of any polytope with those outer normals.
 
-    Decided as: the normals span R^dim and every normal lies in a circuit.
-    The circuits generate the cone of vanishing combinations mu >= 0, so a
-    strictly positive one exists exactly when they cover every normal.
+    Decided in ints with no table (Davis 1954): the normals span positively
+    exactly when no closed halfspace through 0 holds them all.  A
+    full-dimensional polyhedral cone other than R^dim has a facet, spanned
+    by dim - 1 independent generators, so it suffices to try, for every
+    (dim - 1)-subset A, one e != 0 with A e = 0: one fraction-free
+    elimination of [A^T | I] leaves it in the last row.  A rank below dim
+    shows up as an e orthogonal to every normal, or as too few normals.
     """
-    circuits, _ = table
-    covered = {j for S, _ in circuits for j in S}
-    return rank(normals) == dim and len(covered) == len(normals)
+    ints = [clear_denominators(a)[0] for a in normals]
+    for subset in combinations(ints, dim - 1):
+        m = [[a[t] for a in subset] + [int(t == u) for u in range(dim)] for t in range(dim)]
+        echelon(m, dim - 1)
+        products = [sum(map(mul, a, m[-1][dim - 1:])) for a in ints]
+        if max(products, default=0) <= 0 or min(products, default=0) >= 0:
+            return False
+    return len(ints) > dim
 
 
 def redundant_rows(offsets, table) -> list[int]:
@@ -96,9 +108,11 @@ def redundant_rows(offsets, table) -> list[int]:
     <lam, b_B> / d over the nontrivial representations (B, lam, d) of a_i, or
     unbounded when there is none.  Simultaneous deletion of all reported rows
     is sound only when no two rows describe the same halfspace (equal up to
-    positive scaling): a doubly represented facet flags both copies.
+    positive scaling): a doubly represented facet flags both copies.  One
+    positive scale clears the offsets to ints.
     """
     _, reps = table
+    offsets, _ = clear_denominators(offsets)
     return [
         i for i, entries in enumerate(reps)
         if any(_weighted(B, lam, offsets) <= d * offsets[i] for B, lam, d in entries[1:])
@@ -110,16 +124,16 @@ class Polytope:
     """Bounded full-dimensional polytope {x : <a_i, x> <= b_i}.
 
     The normals are checked by the ``NormalSet`` rules.  Construction then
-    reads three checks off the conic-dependence table of the rows as given,
-    with no LP: bounded (``spans_positively``), nonempty interior
-    (<mu_S, b_S> > 0 for every circuit S, by Gordan), and every row a facet
-    (``redundant_rows``), in that order.  Every row being a facet, no two
-    normals are positive multiples, so the normal set H of K, built once and
-    handed out by ``normal_set()``, keeps K's normals and indices.  The one
-    table, ``linear.conic_dependences`` of the facet normals as given and all
+    runs three checks with no LP, in this order: bounded
+    (``spans_positively``, in ints and before any table), then, off the
+    conic-dependence table of the rows as given, nonempty interior
+    (<mu_S, b_S> > 0 for every circuit S, by Gordan) and every row a facet
+    (``redundant_rows``).  Every row being a facet, no two normals are
+    positive multiples, so the normal set H of K, built once and handed out
+    by ``normal_set()``, keeps K's normals and indices.  The one table, all
     ints, stays on K and on H as the attribute ``conic_dependences``;
     ``experiment.random_instance``, which has already built the table of the
-    rows it drew, hands the part of it on the kept rows to ``_with_table``.
+    rows it accepted, hands the part of it on the kept rows to ``_with_table``.
     """
 
     dim: int
@@ -138,13 +152,14 @@ class Polytope:
         H = NormalSet(self.dim, normals)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
+        if not spans_positively(normals, self.dim):
+            raise InputError("polytope is unbounded: normals do not span positively")
         if table is None:
             table = conic_dependences(normals)
-        if not spans_positively(normals, self.dim, table):
-            raise InputError("polytope is unbounded: normals do not span positively")
-        if any(_weighted(S, mu, offsets) <= 0 for S, mu in table[0]):
+        cleared, _ = clear_denominators(offsets)
+        if any(_weighted(S, mu, cleared) <= 0 for S, mu in table[0]):
             raise InputError("polytope has empty interior")
-        bad = redundant_rows(offsets, table)
+        bad = redundant_rows(cleared, table)
         if bad:
             raise InputError(f"rows {bad} are redundant, not facets")
         # not fields, so equality and hashing ignore them
@@ -193,13 +208,13 @@ class Polytope:
         )
 
 
-def _translate_rows(K: Polytope, X: PointSet):
+def _translate_rows(K: Polytope, L, lb, M, n):
     """X lies in K + t exactly when <a_i, t> >= s_i - b_i for every i, with
-    s_i the support of X, read off the int levels of ``linear.levels``."""
-    L, M = levels(K.normals, X.points)
+    s_i the support of X; each row times L, so all ints, read off the
+    ``_levels`` (L, lb, M) of points whose first n are X."""
     return [
-        (a, GE, Fraction(max(row), L) - b)
-        for a, row, b in zip(K.normals, M, K.offsets)
+        (tuple(c.numerator * (L // c.denominator) for c in a), GE, max(row[:n]) - b)
+        for a, row, b in zip(K.normals, M, lb)
     ]
 
 
@@ -213,21 +228,26 @@ def _check_joint(K: Polytope, X: PointSet):
 def fits_in_translate(K: Polytope, X: PointSet) -> Vector | None:
     """A translate vector t with X inside K + t, or None if none exists."""
     _check_joint(K, X)
-    return feasible_point(_translate_rows(K, X), K.dim, nonneg=False)
+    rows = _translate_rows(K, *_levels(K, X.points), len(X))
+    return feasible_point(rows, K.dim, nonneg=False)
 
 
 class _FacetRegion:
-    """The translate region {t : X in K + t} of one point set X, given by its
-    supports, and the m facet maxima of the strong hull over it.
+    """The translate region {t : X in K + t} of one point set X, the m facet
+    maxima of the strong hull over it, and the exact query points
+    ``queries``, indexed j in order.  One level matrix of K's normals
+    against X and the queries gives the region's int rows, each query's
+    restricted-hull test (``hconvex.hull_rule``) and its facet tests.  The
+    maxima depend on X alone, so every query reads one ``lp.maximize_each``:
+    one phase 1, and each facet's phase 2 the first time a query reaches
+    that facet."""
 
-    The maxima depend on X alone, not on a query point, so every query on X
-    reads one ``lp.maximize_each``: one phase 1 for the region, and each
-    facet's phase 2 the first time a query reaches that facet."""
-
-    def __init__(self, K: Polytope, X: PointSet):
-        self._K = K
+    def __init__(self, K: Polytope, X: PointSet, queries):
+        self._n = len(X)
+        self._L, self._lb, self._M = _levels(K, X.points + tuple(queries))
         self._outcomes = maximize_each(
-            _translate_rows(K, X), [vneg(a) for a in K.normals], K.dim
+            _translate_rows(K, self._L, self._lb, self._M, self._n),
+            [vneg(a) for a in K.normals], K.dim,
         )
         self._optima = []
 
@@ -250,15 +270,19 @@ class _FacetRegion:
         arrives with the first facet's optimum."""
         return self._optimum(0) is not None
 
-    def contains(self, p: Vector) -> bool:
-        """Membership of p in the hull by the per-facet violation maxima; the
-        first violated facet ends the query before the later facets'
-        phase 2."""
-        for i, (a, b) in enumerate(zip(self._K.normals, self._K.offsets)):
+    def in_h_hull(self, j) -> bool:
+        """Membership of query j in the hull of X restricted to K's normals."""
+        return hull_rule(self._M, range(self._n), self._n + j)
+
+    def contains(self, j) -> bool:
+        """Membership of query p_j in the hull by the facet maxima num / den
+        in ints: (L <a_i, p_j> - L b_i) den + L num > 0 violates facet i,
+        which ends the query before the later facets' phase 2."""
+        for i, (row, b) in enumerate(zip(self._M, self._lb)):
             value = self._optimum(i)
             if value is None:
                 raise PreconditionError("X does not fit in any translate of K")
-            if dot(a, p) - b + value > 0:
+            if (row[self._n + j] - b) * value.denominator + self._L * value.numerator > 0:
                 return False
         return True
 
@@ -277,16 +301,19 @@ def strong_hull_contains(K: Polytope, X: PointSet, p: Vector) -> bool:
 
     Raises PreconditionError unless X fits in some translate of K.
     """
-    p = _query(K, X, p)
-    return _FacetRegion(K, X).contains(p)
+    return _FacetRegion(K, X, [_query(K, X, p)]).contains(0)
 
 
 def _levels(K: Polytope, points):
-    """``(L b, M)``, all ints: M the levels L <a_i, x> of ``linear.levels``
-    of K's normals against the points, with L raised to clear the offsets."""
+    """``(L, L b, M)``, all ints: M the levels L <a_i, x> of
+    ``linear.levels`` of K's normals against the points, with L raised to
+    clear the offsets."""
     L, M = levels(K.normals, points)
     k = lcm(L, *(b.denominator for b in K.offsets)) // L
-    return [int(k * L * b) for b in K.offsets], [[k * v for v in row] for row in M]
+    L *= k
+    return L, [b.numerator * (L // b.denominator) for b in K.offsets], [
+        [k * v for v in row] for row in M
+    ]
 
 
 def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
@@ -300,7 +327,7 @@ def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
     """
     p = _query(K, X, p)
     circuits, reps = K.conic_dependences
-    lb, M = _levels(K, X.points + (p,))
+    _, lb, M = _levels(K, X.points + (p,))
     E = [row[-1] - b for row, b in zip(M, lb)]
 
     def contains(idx):
@@ -336,7 +363,7 @@ def shrink_intervals(K: Polytope, X: PointSet):
     """
     _check_joint(K, X)
     circuits, reps = K.conic_dependences
-    lb, M = _levels(K, X.points)
+    _, lb, M = _levels(K, X.points)
     out = []
     for k in range(1, len(X) + 1):
         for idx in combinations(range(len(X)), k):
@@ -383,16 +410,16 @@ def h_subset_strong_check(K: Polytope, X: PointSet, *points) -> bool:
     must imply membership in the latter.  Always true mathematically;
     exercised as a runtime property.
 
-    Restricted membership is ``h_hull_contains`` under the normals of K.
-    All the points share the one facet region of X: a point inside the
-    restricted hull is decided by the region's facet LPs, and a point
-    outside needs only the region's phase 1, which must find that X fits."""
+    Restricted membership is ``hconvex``'s rule under the normals of K.
+    All the points share the one facet region of X and its level matrix: a
+    point inside the restricted hull is decided by the region's facet LPs,
+    and a point outside needs only the region's phase 1, which must find
+    that X fits."""
     _check_joint(K, X)
-    points = [_query(K, X, p) for p in points]
-    region = _FacetRegion(K, X)
-    for p in points:
-        if h_hull_contains(K.normal_set(), X, p):
-            if not region.contains(p):
+    region = _FacetRegion(K, X, [_query(K, X, p) for p in points])
+    for j in range(len(points)):
+        if region.in_h_hull(j):
+            if not region.contains(j):
                 return False
         elif not region.fits():
             raise PreconditionError("X does not fit in any translate of K")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InputError,
@@ -19,7 +20,7 @@ from .errors import (
     PreconditionError,
 )
 from .hconvex import ExclusionAssignment, NormalSet, PointSet, point_set_verdicts
-from .linear import conic_dependences, dot, solve_linear, vscale
+from .linear import clear_denominators, conic_dependences, dot, echelon, vscale
 from .lp import EQ, LE, feasible_point
 
 __all__ = [
@@ -75,6 +76,11 @@ def helly_witness_points(H: NormalSet, B) -> WitnessReport:
     rescaled by that circuit's mu so they sum to zero; each point x_i is the
     unique vector in the span of B with <a_j, x_i> = -1 for all j != i, which
     forces <a_i, x_i> = |B| - 1 and sum x_i = 0.
+
+    All k points come from one fraction-free elimination: any k - 1 of the
+    scaled b_j are a basis of the span, so with y_j the dual basis of
+    b_0, ..., b_{k-2} (the Gram matrix's inverse applied to them),
+    x_i = k y_i - sum y for i < k - 1 and x_{k-1} = -sum y.
     """
     idx = H.checked_indices(B)
     S = [H.normals[i] for i in idx]
@@ -95,12 +101,23 @@ def helly_witness_points(H: NormalSet, B) -> WitnessReport:
     if lam is None:
         raise InputError("B is not minimally positively dependent")
     scaled = [vscale(S[i], lam[i]) for i in range(k)]
+    # b_r = W_r / q_r in ints; one elimination ends row r of [W W^T | I] as
+    # p_r [e_r | row r of G^-1], G = W W^T, so y_r = q_r (G^-1 W)_r, over D.
+    W, q = zip(*map(clear_denominators, scaled[:-1]))
+    m = [
+        [sum(x * y for x, y in zip(u, v)) for v in W] + [int(r == c) for c in range(k - 1)]
+        for r, u in enumerate(W)
+    ]
+    if len(echelon(m, k - 1)) < k - 1:
+        raise InternalConsistencyError("witness system must be consistent")
+    D = lcm(*(m[r][r] for r in range(k - 1)))
+    Y = [[q[r] * (D // m[r][r]) * sum(g * w[t] for g, w in zip(m[r][k - 1:], W))
+          for t in range(H.dim)] for r in range(k - 1)]
+    neg_sum = [-sum(col) for col in zip(*Y)]
     points = []
     for i in range(k):
-        rows = [scaled[j] for j in range(k) if j != i]
-        x = solve_linear(rows, [Fraction(-1)] * (k - 1))
-        if x is None:
-            raise InternalConsistencyError("witness system must be consistent")
+        x = neg_sum if i == k - 1 else [v + k * y for v, y in zip(neg_sum, Y[i])]
+        x = tuple(Fraction(v, D) for v in x)
         if dot(scaled[i], x) != k - 1:
             raise InternalConsistencyError("self inner product must be k - 1")
         points.append(x)

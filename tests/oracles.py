@@ -26,11 +26,12 @@ rank alone.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.hconvex import PointSet
 from hcara.invariants import positive_hull_contains
-from hcara.linear import Vector, clear_denominators, dot
+from hcara.linear import Vector, clear_denominators, conic_dependences, dot
 from hcara.lp import EQ, GE, LE, LpStatus, feasible_point, maximize
 from hcara.strong import Polytope
 
@@ -213,6 +214,17 @@ def brute_spans_positively(normals, dim):
             if not positive_hull_contains(normals, axis):
                 return False
     return True
+
+
+def table_spans_positively(normals, dim):
+    """Positive spanning read off the conic-dependence table of nonzero
+    normals, the rule the library used before its int test: the normals
+    span R^dim and every normal lies in a circuit.  The circuits generate
+    the cone of vanishing combinations mu >= 0, so a strictly positive one
+    exists exactly when they cover every normal."""
+    circuits, _ = conic_dependences(normals)
+    covered = {j for S, _ in circuits for j in S}
+    return bareiss_rank(normals) == dim and len(covered) == len(normals)
 
 
 def brute_conic_dependences(vectors):
@@ -597,3 +609,25 @@ def gram_solve_linear(rows, rhs) -> Vector | None:
             for j in range(dim):
                 x[j] += y[i] * rows[i][j]
     return tuple(x)
+
+
+def per_point_helly_witness(normals, idx):
+    """The points of ``witness.helly_witness_points`` for the circuit
+    ``idx``, one ``gram_solve_linear`` per point as the library once solved
+    them: mu is the circuit's vanishing combination in primitive ints, read
+    off the solve of sum_{j < k-1} c_j a_j = -a_{k-1}, and x_i is the unique
+    point in the span of the b_j = mu_j a_j with <b_j, x_i> = -1 for every
+    j != i."""
+    S = [tuple(Fraction(c) for c in normals[i]) for i in idx]
+    k, dim = len(S), len(S[0])
+    c = gram_solve_linear(
+        [tuple(S[j][t] for j in range(k - 1)) for t in range(dim)],
+        [-x for x in S[-1]],
+    )
+    ints, _ = clear_denominators(list(c) + [Fraction(1)])
+    g = gcd(*ints)
+    scaled = [tuple(m // g * x for x in a) for m, a in zip(ints, S)]
+    return tuple(
+        gram_solve_linear([b for j, b in enumerate(scaled) if j != i], [-1] * (k - 1))
+        for i in range(k)
+    )

@@ -122,6 +122,17 @@ class TestExitCodes:
         assert f"error: cannot write {out}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_fails_before_the_trials(self, capsys, tmp_path, monkeypatch):
+        import hcara.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the trials ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        out = tmp_path / "no-such-dir" / "report.json"
+        assert main(["experiment", "--trials", "1", "--out", str(out)]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, capsys):
         assert main(["cara", "missing.json"]) == 2
         assert "error" in capsys.readouterr().err

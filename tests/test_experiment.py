@@ -317,11 +317,13 @@ def test_seed42_trial_digest(workload, ops, dim, max_normals):
 
 def test_a_trial_builds_one_table_per_polytope(monkeypatch):
     """16 seed-42 trials of the benchmark's dim-2 shape build the table of a
-    whole normal set 36 times: once per row set ``random_instance`` draws
-    (35) and once for the cube.  The drawn table, restricted to the kept
-    rows, is the polytope's (52 builds when ``Polytope`` built it again), and
-    ``helly_number``, the cone search and ``helly_witness_points`` read it,
-    so neither the invariants nor the witness module builds one."""
+    whole normal set 17 times: once per row set ``random_instance`` accepts
+    (16) and once for the cube.  A rejected draw is found unbounded in ints
+    before any table (36 builds when every draw built one).  The accepted
+    table, restricted to the kept rows, is the polytope's (52 builds when
+    ``Polytope`` built it again), and ``helly_number``, the cone search and
+    ``helly_witness_points`` read it, so neither the invariants nor the
+    witness module builds one."""
     original = hcara.linear.conic_dependences
     builds = []
     for name, module in list(sys.modules.items()):
@@ -338,7 +340,7 @@ def test_a_trial_builds_one_table_per_polytope(monkeypatch):
     for i in range(16):
         run_trial(config, i)
     assert "hcara.witness" not in builds
-    assert len(builds) == 36
+    assert len(builds) == 17
     assert "hcara.invariants" not in builds
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,8 @@ class TestValidation:
             # checked at the call, before any outcome is read
             lambda: maximize_each([((1,), LE, 0)], [(1,), (1, 2)], 1),
             lambda: maximize_each([((1,), LE, 0.5)], [(1,)], 1),
+            lambda: feasible_point([((True,), LE, 1)], 1),
+            lambda: maximize_each([((1,), LE, "1")], [(1,)], 1),
         ],
         ids=[
             "feasible_point-unknown-relation",
@@ -124,6 +127,8 @@ class TestValidation:
             "LinearProgram-float",
             "maximize_each-wrong-objective-width",
             "maximize_each-float",
+            "feasible_point-bool",
+            "maximize_each-str",
         ],
     )
     def test_every_entry_point_rejects_malformed_input(self, call):
@@ -399,6 +404,32 @@ def test_maximize_each_is_one_phase_1_and_the_lone_phase_2s(program):
     if outcomes[0].status is LpStatus.INFEASIBLE:
         assert {o.status for o in outcomes} == {LpStatus.INFEASIBLE}
         assert all(not phase2 for _, phase2 in solves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_objective_programs(), st.integers(1, 6))
+def test_scaled_int_rows_take_the_same_pivots(program, factor):
+    """Every row times one common L > 0, as ints, gives the same outcomes,
+    status, witness and value, by the same pivots: the rows stay positive
+    multiples of the Fraction rows and the slack columns share the factor
+    L, which neither Bland's pricing nor the ratio test can see."""
+    num_vars, rows, objectives, nonneg = program
+    rows = [(tuple(map(F, coeffs)), rel, F(rhs)) for coeffs, rel, rhs in rows]
+    L = factor * lcm(*(c.denominator for coeffs, _, rhs in rows for c in coeffs + (rhs,)))
+    scaled = [
+        (tuple(int(L * c) for c in coeffs), rel, int(L * rhs)) for coeffs, rel, rhs in rows
+    ]
+    assert all(type(c) is int for coeffs, _, _ in hcara.lp._checked_rows(scaled, num_vars)
+               for c in coeffs)
+    runs = []
+    for system in (rows, scaled):
+        with pivot_log() as pivots:
+            outcomes = [
+                (o.status, o.witness, o.value)
+                for o in maximize_each(system, objectives, num_vars, nonneg)
+            ]
+        runs.append((outcomes, pivots))
+    assert runs[0] == runs[1]
 
 
 def test_maximize_each_examples_reach_every_status():

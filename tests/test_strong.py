@@ -12,6 +12,7 @@ from oracles import (
     lp_interior_slack,
     lp_minimal_strong_witness,
     lp_redundant_rows,
+    table_spans_positively,
     tight_supports,
 )
 
@@ -23,7 +24,7 @@ from hcara.experiment import ExperimentConfig, random_instance
 from hcara.hconvex import NormalSet, PointSet, h_hull_contains, support
 from hcara.invariants import caratheodory_number
 from hcara.linear import conic_dependences, dot, vadd, vneg, vscale
-from hcara.lp import LpStatus, maximize
+from hcara.lp import GE, LpStatus, feasible_point, maximize, maximize_each
 from hcara.shapes import (
     cube_normals,
     cube_polytope,
@@ -37,6 +38,7 @@ from hcara.shapes import (
 from hcara.strong import (
     Polytope,
     _FacetRegion,
+    _levels,
     _translate_rows,
     fits_in_translate,
     guard_assignment,
@@ -269,6 +271,24 @@ class TestValidationFromTable:
         if verdict is None:
             assert K == Polytope(dim, tuple(normals), tuple(offsets))
 
+    @settings(max_examples=150, deadline=None)
+    @given(row_systems())
+    def test_unbounded_rows_build_no_table(self, system):
+        # Boundedness is decided before any table: an unbounded system gets
+        # its message with the table build made to raise, and any other
+        # system reaches the build.
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        unbounded = _lp_verdict(*system) == "polytope is unbounded: normals do not span positively"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hcara.strong, "conic_dependences", no_table)
+            if unbounded:
+                assert _verdict(*system) == _lp_verdict(*system)
+            else:
+                with pytest.raises(AssertionError, match="a table was built"):
+                    _verdict(*system)
+
     def test_construction_solves_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
             raise AssertionError("an LP was solved")
@@ -298,6 +318,28 @@ def normal_families(draw):
     return dim, normals
 
 
+@st.composite
+def spanning_candidates(draw):
+    """(dim, normals) in dims 1 to 4, with 0 to dim + 3 normals built to sit
+    near the boundary of positive spanning: a rank-deficient family (every
+    normal in a coordinate hyperplane), a one-sided one (every normal with
+    a nonnegative first coordinate), repeated normals, antiparallel pairs
+    and zero normals all come up often."""
+    dim = draw(st.integers(1, 4))
+    coords = st.integers(-2, 2).map(F) | st.sampled_from((F(1, 2), F(-3, 2)))
+    normals = draw(st.lists(st.tuples(*[coords] * dim), max_size=dim + 3))
+    shape = draw(st.sampled_from(("any", "flat", "one-sided")))
+    if shape == "flat":
+        normals = [a[:-1] + (F(0),) for a in normals]
+    elif shape == "one-sided":
+        normals = [(abs(a[0]),) + a[1:] for a in normals]
+    for _ in range(draw(st.integers(0, 2))):
+        if normals:
+            a = draw(st.sampled_from(normals))
+            normals.append(vneg(a) if draw(st.booleans()) else a)
+    return dim, normals
+
+
 class TestSpansPositively:
     @pytest.mark.parametrize(
         "dim, normals, expected",
@@ -312,19 +354,26 @@ class TestSpansPositively:
     )
     def test_named_families(self, dim, normals, expected):
         normals = [tuple(F(c) for c in a) for a in normals]
-        assert spans_positively(normals, dim, conic_dependences(normals)) is expected
+        assert spans_positively(normals, dim) is expected
+        assert table_spans_positively(normals, dim) is expected
         assert brute_spans_positively(normals, dim) is expected
 
     @settings(max_examples=150, deadline=None)
     @given(normal_families())
     def test_agrees_with_axis_definition(self, family):
         dim, normals = family
+        assert spans_positively(normals, dim) == brute_spans_positively(normals, dim)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spanning_candidates())
+    def test_agrees_with_definition_and_table_rule(self, family):
+        dim, normals = family
+        expected = brute_spans_positively(normals, dim)
+        assert spans_positively(normals, dim) is expected
         # zero normals lie in every positive hull, and the table has no room
         # for them
         nonzero = [a for a in normals if any(a)]
-        assert spans_positively(
-            nonzero, dim, conic_dependences(nonzero)
-        ) == brute_spans_positively(normals, dim)
+        assert table_spans_positively(nonzero, dim) is expected
 
 
 class TestConicDependences:
@@ -457,10 +506,15 @@ def _int_member(K, X, p):
     return outcome != "query point is not in the hull of X"
 
 
+def _rows(K, X):
+    """The int rows of the translate region of X."""
+    return _translate_rows(K, *_levels(K, X.points), len(X))
+
+
 def _facet_lp_supports(K, X):
     """b_i minus the optimum of facet i's LP over the translate region of X,
     the same limit as ``tight_supports`` computed by the simplex."""
-    rows = _translate_rows(K, X)
+    rows = _rows(K, X)
     return [
         b - maximize(rows, vneg(a), K.dim, nonneg=False).value
         for a, b in zip(K.normals, K.offsets)
@@ -489,7 +543,7 @@ class TestTablePath:
         assert tight == _facet_lp_supports(self.PENTAGON, X)
         assert not h_hull_contains(self.PENTAGON.normal_set(), X, p)
         assert strong_hull_contains(self.PENTAGON, X, p)
-        assert _FacetRegion(self.PENTAGON, X).contains(p)
+        assert _FacetRegion(self.PENTAGON, X, [p]).contains(0)
         assert _int_member(self.PENTAGON, X, p) is True
         assert minimal_strong_witness(self.PENTAGON, X, p) == X
 
@@ -511,7 +565,7 @@ class TestTablePath:
         X = PointSet(2, X)
         supports = [support(X, a) for a in K.normals]
         assert tight_supports(K, supports) == _facet_lp_supports(K, X)
-        assert _FacetRegion(K, X).contains(p) is member
+        assert _FacetRegion(K, X, [p]).contains(0) is member
         assert _int_member(K, X, p) is member
 
     @settings(max_examples=120, deadline=None)
@@ -520,10 +574,11 @@ class TestTablePath:
         K, X, queries = case
         supports = [support(X, a) for a in K.normals]
         tight = tight_supports(K, supports)
-        region = _FacetRegion(K, X)
-        for p in queries:
+        region = _FacetRegion(K, X, queries)
+        for j, p in enumerate(queries):
+            assert region.in_h_hull(j) == h_hull_contains(K.normal_set(), X, p)
             try:
-                lp_member = region.contains(p)
+                lp_member = region.contains(j)
             except PreconditionError:
                 assert tight is None
                 assert _int_member(K, X, p) is None
@@ -593,12 +648,39 @@ class TestTablePath:
         assert fits_in_translate(CUBE2, X) is not None
         assert calls[1:] == [("feasible_point",)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(strong_cases())
+    def test_int_rows_take_the_fraction_rows_pivots(self, case):
+        # The region's rows share one L, so they solve as the Fraction rows
+        # <a_i, t> >= s_i - b_i do: same pivots, statuses, witnesses, values.
+        K, X, _ = case
+        fraction_rows = [(a, GE, support(X, a) - b) for a, b in zip(K.normals, K.offsets)]
+        objectives = [vneg(a) for a in K.normals]
+        runs = []
+        for rows in (fraction_rows, _rows(K, X)):
+            pivots = []
+            real = hcara.lp.pivot
+
+            def spy(T, r, c):
+                pivots.append((r, c))
+                return real(T, r, c)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hcara.lp, "pivot", spy)
+                fit = feasible_point(rows, K.dim)
+                outcomes = [
+                    (o.status, o.witness, o.value)
+                    for o in maximize_each(rows, objectives, K.dim)
+                ]
+            runs.append((fit, outcomes, pivots))
+        assert runs[0] == runs[1]
+
     def test_first_violated_facet_ends_the_query(self, monkeypatch):
         # X fits only in the square itself.  (2, 0) violates facet 0, x <= 1,
         # so the query takes the region's phase 1 and facet 0's phase 2 and
         # no later facet's; a member takes every facet's phase 2.
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
-        rows = _translate_rows(CUBE2, X)
+        rows = _rows(CUBE2, X)
         pivots = []
         real = hcara.lp.pivot
 
@@ -809,11 +891,12 @@ class TestHullImplication:
 
     @pytest.mark.parametrize("p,inside", [((F(1), F(0)), True), ((F(3), F(0)), False)])
     def test_one_region_per_point_set(self, monkeypatch, p, inside):
-        # The restricted hull is h_hull_contains under K's normals, once per
-        # point; (1, 0) lies on its boundary.  A point inside reads the
-        # region's facet optima, every one for a member, and a point outside
-        # only the first, which carries phase 1's verdict.  Any number of
-        # points share the one maximize_each of X: no fit LP of its own.
+        # The restricted hull is hconvex's rule under K's normals, once per
+        # point, on the region's one level matrix; (1, 0) lies on its
+        # boundary.  A point inside reads the region's facet optima, every
+        # one for a member, and a point outside only the first, which
+        # carries phase 1's verdict.  Any number of points share the one
+        # level matrix and the one maximize_each of X: no fit LP of its own.
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
         calls = []
         read = []
@@ -830,19 +913,22 @@ class TestHullImplication:
                 return real(*args, **kwargs)
             monkeypatch.setattr(hcara.strong, name, wrapped)
 
-        for name in ("h_hull_contains", "feasible_point"):
+        for name in ("levels", "hull_rule", "feasible_point"):
             spy(name, getattr(hcara.strong, name))
-        # no Fraction support per normal on either side
+        # no Fraction support or dot per normal on either side
         assert not hasattr(hcara.strong, "support")
+        assert not hasattr(hcara.strong, "h_hull_contains")
         monkeypatch.setattr(hcara.hconvex, "dot", lambda *args: calls.append("dot"))
+        monkeypatch.setattr(hcara.strong, "dot", lambda *args: calls.append("dot"))
         monkeypatch.setattr(hcara.strong, "maximize_each", each)
         assert h_hull_contains(CUBE2.normal_set(), X, p) is inside
         assert h_subset_strong_check(CUBE2, X, p)
-        assert calls == ["h_hull_contains", "maximize_each"]
+        assert calls == ["levels", "hull_rule", "maximize_each"]
         assert len(read) == (len(CUBE2) if inside else 1)
         calls.clear()
         assert h_subset_strong_check(CUBE2, X, p, (F(1), F(0)), (F(3), F(0)), p)
-        assert sorted(calls) == ["h_hull_contains"] * 4 + ["maximize_each"]
+        assert calls[0] == "levels"
+        assert sorted(calls) == ["hull_rule"] * 4 + ["levels", "maximize_each"]
         # the second region reads every optimum once, for (1, 0)
         assert len(read) == (len(CUBE2) if inside else 1) + len(CUBE2)
 

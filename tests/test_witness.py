@@ -6,13 +6,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from oracles import per_point_helly_witness
 
 import hcara.hconvex
 from hcara.errors import InputError, NotMaximalWitnessError
 from hcara.hconvex import NormalSet, PointSet, covering_holds, minimal_h_witness
 from hcara.invariants import caratheodory_number
 from hcara.jsonio import dump_canonical
-from hcara.linear import dot, levels
+from hcara.linear import conic_dependences, dot, levels
 from hcara.shapes import cube_normals, pyramid_normals, triangle_normals
 from hcara.witness import (
     CONE,
@@ -101,6 +102,24 @@ class TestHellyWitness:
                 assert str(info.value) == expected, (name, idx)
             else:
                 assert helly_witness_points(H, idx) == expected, (name, idx)
+
+    def test_equals_per_point_solves(self):
+        """Every circuit of the named polytopes and of seeded random tables
+        in dims 2 to 4, in either order, gives the points of one linear
+        solve per point."""
+        from conftest import named_polytopes, random_normal_sets
+
+        sets = [K.normal_set() for _, K, _ in named_polytopes()]
+        sets += random_normal_sets(60, seed=24, max_size=7, max_dim=4)
+        checked = 0
+        for H in sets:
+            circuits = H.conic_dependences or conic_dependences(H.normals)
+            for S, _ in circuits[0]:
+                for idx in (S, S[::-1]):
+                    expected = per_point_helly_witness(H.normals, idx)
+                    assert helly_witness_points(H, idx).points.points == expected
+                    checked += 1
+        assert checked > 200
 
     def test_errors_on_the_table_path(self):
         H = triangle_normals()
