@@ -29,18 +29,16 @@ from .errors import (
 from .hconvex import NormalSet, PointSet
 from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
-from .linear import (
-    Vector, conic_dependences, dot, restrict, vadd, vscale, zero_vector,
-)
+from .linear import Vector, dot, vadd, vscale, zero_vector
 from .shapes import cube_polytope
 from .strong import (
     Polytope,
     _FacetRegion,
+    _holds,
     fits_in_translate,
     guard_assignment,
     h_subset_strong_check,
     minimal_strong_witness,
-    redundant_rows,
     shrink_intervals,
     spans_positively,
 )
@@ -137,10 +135,10 @@ def random_instance(config: ExperimentConfig, trial_index: int):
 
     The polytope is rejection-sampled until bounded, decided in ints on the
     raw draws, so a rejected draw costs only its rng calls; its offsets are
-    >= 1 so the origin is interior, then redundant rows are pruned.  The
-    accepted rows' conic-dependence table, restricted to the kept rows, is
-    the polytope's one table.  Points are drawn inside the polytope along
-    random rays from the origin and shifted by a common random translate.
+    >= 1 so the origin is interior, then ``Polytope._irredundant`` prunes
+    the redundant rows with the one table of the accepted rows.  Points are
+    drawn inside the polytope along random rays from the origin and shifted
+    by a common random translate.
     """
     rng = _trial_rng(config, trial_index)
     dim, cb = config.dim, config.coordinate_bound
@@ -152,30 +150,18 @@ def random_instance(config: ExperimentConfig, trial_index: int):
         # one row per direction: parallel rows could doubly represent a
         # facet, and simultaneous redundancy pruning would drop both
         normals = NormalSet(dim, draws).normals
-        table = conic_dependences(normals)
-        # offsets >= 1 put the origin inside, as redundant_rows requires
+        # offsets >= 1 put the origin inside, as _irredundant requires
         offsets = [Fraction(rng.randint(1, cb)) for _ in normals]
-        bad = set(redundant_rows(offsets, table))
-        keep = [i for i in range(len(normals)) if i not in bad]
-        K = Polytope._with_table(
-            dim,
-            tuple(normals[i] for i in keep),
-            tuple(offsets[i] for i in keep),
-            restrict(table, keep),
-        )
+        K = Polytope._irredundant(dim, normals, offsets)
 
         count = rng.randint(1, config.max_points)
         shift = _rand_vector(rng, dim, cb)
-        points = []
-        seen_pts = set()
+        points = {}  # distinct, in order of first draw
         for _ in range(count):
             direction = _rand_nonzero_vector(rng, dim, cb)
             alpha = _ray_exit_scale(K, direction)
             r = Fraction(rng.randint(0, cb), cb)
-            p = vadd(vscale(direction, r * alpha), shift)
-            if p not in seen_pts:
-                seen_pts.add(p)
-                points.append(p)
+            points[vadd(vscale(direction, r * alpha), shift)] = None
         return K, PointSet(dim, tuple(points))
     raise SamplingError(
         f"no admissible instance for trial {trial_index} within "
@@ -251,10 +237,7 @@ def check_lower_bound_scaling(K: Polytope, depth: int, invariants=None) -> dict:
         # whenever it fits; anything else is a hull fault.
         if lo_all is None or lo_all > eps:
             raise PreconditionError("query point is not in the hull of X")
-        size = next(
-            len(idx) for idx, lo, fit in intervals
-            if lo is not None and lo <= eps and (fit is None or eps <= fit)
-        )
+        size = next(len(idx) for idx, lo, fit in intervals if _holds(lo, fit, eps))
         outcomes.append({"epsilon": str(eps), "outcome": "witness-size", "size": size})
         if size == target:
             certified_eps = eps
@@ -313,14 +296,10 @@ def _cube_equality_record(rng, dim, bound) -> dict:
     level matrix gives the restricted verdicts and whose facet LPs give the
     strong ones."""
     K = cube_polytope(dim)
-    points = []
-    seen = set()
-    for _ in range(rng.randint(1, 4)):
-        p = tuple(Fraction(rng.randint(0, bound), bound) for _ in range(dim))
-        if p not in seen:
-            seen.add(p)
-            points.append(p)
-    X = PointSet(dim, tuple(points))
+    X = PointSet(dim, tuple(dict.fromkeys(
+        tuple(Fraction(rng.randint(0, bound), bound) for _ in range(dim))
+        for _ in range(rng.randint(1, 4))
+    )))
     queries = [
         _convex_combination(rng, X, bound),
         tuple(Fraction(rng.randint(-bound, 2 * bound), bound) for _ in range(dim)),

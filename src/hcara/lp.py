@@ -48,12 +48,15 @@ def _checked_rows(rows, num_vars):
     """The rows checked for shape, width and relation, every value an int
     or a Fraction as given, which the tableau clears alike; InputError on
     anything malformed."""
+    if type(num_vars) is not int:
+        raise InputError(f"num_vars must be an int, got {num_vars!r}")
     if num_vars < 1:
         raise InputError("a linear program needs at least one variable")
     checked = []
-    for row in rows:
+    for row in _items(rows, "rows"):
         try:
             coeffs, rel, rhs = row
+            coeffs = tuple(coeffs)
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed row {row!r}") from exc
         if len(coeffs) != num_vars:
@@ -64,6 +67,14 @@ def _checked_rows(rows, num_vars):
     return tuple(checked)
 
 
+def _items(values, what):
+    """``tuple(values)``; InputError when they are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError as exc:
+        raise InputError(f"{what} must be a sequence, got {values!r}") from exc
+
+
 def _number(value):
     """An int kept as an int, anything else through ``linear.exact``."""
     return value if type(value) is int else exact(value)
@@ -72,6 +83,7 @@ def _number(value):
 def _checked_objective(objective, num_vars):
     """The objective as a tuple of Fractions; InputError unless it has one
     coefficient per variable."""
+    objective = _items(objective, "objective")
     if len(objective) != num_vars:
         raise InputError("objective length must equal num_vars")
     return tuple(exact(c) for c in objective)
@@ -273,6 +285,7 @@ def _solve(rows, objectives, num_vars, nonneg):
     input is checked at the call, the simplex runs as outcomes are read."""
     rows = _checked_rows(rows, num_vars)
     if objectives is not None:
+        objectives = _items(objectives, "objectives")
         objectives = [_checked_objective(c, num_vars) for c in objectives]
     return _simplex(num_vars, rows, objectives, nonneg)
 

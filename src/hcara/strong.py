@@ -19,17 +19,16 @@ Two paths decide this, and each checks the other:
   ``h_subset_strong_check`` takes any number of points, and the harness's
   cube check asks its two queries of one region;
 * the conic-dependence table of the normals (``linear.conic_dependences``),
-  all ints and built once per polytope, read by ``minimal_strong_witness``
-  and ``shrink_intervals`` with no LP.  By Farkas, X fits exactly when
+  all ints and built once per polytope, read with no LP by one interval
+  rule (``_interval_rule``).  By Farkas, X fits exactly when
   <mu_S, c_S> >= 0 for every circuit S; by LP duality the facet maximum is
   the least <lam_B, c_B> / d over the representations d a_i = sum lam_j a_j,
   so p is in the hull exactly when every a_i has a representation with
-  d (<a_i, p> - b_i) + <lam_B, c_B> <= 0.  Both searches take the supports
-  and offsets times one common L > 0 as ints (``linear.levels``, with L
-  raised to clear the offsets too), so every test is an integer inequality.
-  Scaling X by eps scales its supports, so the same rules give, for each
-  subset, the interval of eps at which the origin lies in the hull of eps
-  times it.
+  d (<a_i, p> - b_i) + <lam_B, c_B> <= 0.  The rule takes supports and
+  offsets times one common L > 0 as ints (``linear.levels``) and gives each
+  subset the interval of scales about a centre at which the centre lies in
+  its hull: ``shrink_intervals`` reads it about the origin, and a minimal
+  strong witness of p is a least subset whose interval about p holds 1.
 
 A region's rows are the same levels, so the simplex gets ints, and its
 restricted hull is ``hconvex``'s rule on them: a hull check weighs ints
@@ -58,7 +57,7 @@ from .jsonio import (
     vector_to_json,
 )
 from .linear import Vector, clear_denominators, conic_dependences, dot, echelon
-from .linear import exact, levels, vneg
+from .linear import exact, levels, restrict, vneg
 from .lp import GE, LpStatus, feasible_point, maximize_each
 
 __all__ = [
@@ -132,8 +131,7 @@ class Polytope:
     positive multiples, so the normal set H of K, built once and handed out
     by ``normal_set()``, keeps K's normals and indices.  The one table, all
     ints, stays on K and on H as the attribute ``conic_dependences``;
-    ``experiment.random_instance``, which has already built the table of the
-    rows it accepted, hands the part of it on the kept rows to ``_with_table``.
+    ``_irredundant`` restricts it from the table of the rows it prunes.
     """
 
     dim: int
@@ -168,14 +166,19 @@ class Polytope:
         object.__setattr__(self, "_normal_set", H)
 
     @classmethod
-    def _with_table(cls, dim, normals, offsets, table) -> "Polytope":
-        """``Polytope(dim, normals, offsets)``, every check included, with
-        ``table``, the conic-dependence table of the normals, taken as given
-        rather than built again."""
+    def _irredundant(cls, dim, normals, offsets) -> "Polytope":
+        """``Polytope`` of the facets among rows with nonempty interior and
+        distinct directions, every check included, off one conic-dependence
+        table: ``redundant_rows`` drops the other rows, and the checks take
+        the table restricted to the kept ones (``linear.restrict``)."""
+        table = conic_dependences(normals)
+        bad = set(redundant_rows(offsets, table))
+        keep = [i for i in range(len(normals)) if i not in bad]
         K = cls.__new__(cls)
-        for name, value in (("dim", dim), ("normals", normals), ("offsets", offsets)):
-            object.__setattr__(K, name, value)
-        K.__post_init__(table)
+        object.__setattr__(K, "dim", dim)
+        object.__setattr__(K, "normals", tuple(normals[i] for i in keep))
+        object.__setattr__(K, "offsets", tuple(offsets[i] for i in keep))
+        K.__post_init__(restrict(table, keep))
         return K
 
     def __len__(self):
@@ -316,69 +319,73 @@ def _levels(K: Polytope, points):
     ]
 
 
+def _interval_rule(K: Polytope, points):
+    """``interval(idx) -> (lo, fit)`` for the subsets Y = points[idx] of
+    points[:-1] about the centre c = points[-1]: for eps > 0, c + eps (Y - c)
+    fits in a translate of K exactly when eps <= fit, and then c is in its
+    hull exactly when lo <= eps; None is no bound (fit) or no reachable one
+    (lo).
+
+    In ints off ``K.conic_dependences``, with no LP.  Circuits and
+    representations vanish on translations, so only S = L s(Y) - L <a, c>
+    scales: a circuit with <mu, S_S> > 0 bounds eps by <mu, L b_S> /
+    <mu, S_S> (Farkas); for S_i < 0 a nontrivial representation of a_i holds
+    exactly when <lam, S_B> > 0 and eps >= (<lam, L b_B> - d L b_i) /
+    <lam, S_B> (LP duality), a positive bound since every row is a facet.
+    """
+    circuits, reps = K.conic_dependences
+    _, lb, M = _levels(K, points)
+
+    def interval(idx):
+        S = [max(row[j] for j in idx) - row[-1] for row in M]
+        fit = min((
+            Fraction(_weighted(T, mu, lb), t)
+            for T, mu in circuits if (t := _weighted(T, mu, S)) > 0
+        ), default=None)
+        lows = [min((
+            Fraction(_weighted(B, lam, lb) - d * lb[i], t)
+            for B, lam, d in reps[i][1:] if (t := _weighted(B, lam, S)) > 0
+        ), default=None) for i, v in enumerate(S) if v < 0]
+        return None if None in lows else max(lows, default=Fraction(0)), fit
+
+    return interval
+
+
+def _holds(lo, fit, eps) -> bool:
+    """Whether eps lies in the interval [lo, fit] of :func:`_interval_rule`."""
+    return lo is not None and lo <= eps and (fit is None or eps <= fit)
+
+
 def minimal_strong_witness(K: Polytope, X: PointSet, p: Vector) -> PointSet:
     """Minimum-cardinality subset of X whose hull under K still contains p,
     by exhaustive search in (size, lexicographic index) order.
 
-    Decided in ints from ``K.conic_dependences``, with no LP: with s the
-    supports of a subset, C = L(b - s) and E_i = L(<a_i, p> - b_i), the subset
-    fits exactly when <mu, C_S> >= 0 for every circuit, and then p is in its
-    hull exactly when every i has a representation with d E_i + <lam, C_B> <= 0.
+    A subset is a witness exactly when 1 lies in its interval about p
+    (:func:`_interval_rule`), read off the table with no LP.
     """
     p = _query(K, X, p)
-    circuits, reps = K.conic_dependences
-    _, lb, M = _levels(K, X.points + (p,))
-    E = [row[-1] - b for row, b in zip(M, lb)]
-
-    def contains(idx):
-        """Membership of p in the hull of X[idx]; None when X[idx] fits nowhere."""
-        C = [b - max(row[j] for j in idx) for row, b in zip(M, lb)]
-        if any(_weighted(S, mu, C) < 0 for S, mu in circuits):
-            return None
-        return all(
-            any(d * e + _weighted(B, lam, C) <= 0 for B, lam, d in entries)
-            for e, entries in zip(E, reps)
-        )
-
-    whole = contains(range(len(X)))
-    if whole is None:
+    interval = _interval_rule(K, X.points + (p,))
+    lo, fit = interval(range(len(X)))
+    if fit is not None and fit < 1:
         raise PreconditionError("X does not fit in any translate of K")
-    if not whole:
+    if lo is None or lo > 1:
         raise PreconditionError("query point is not in the hull of X")
-    return X.minimal_subset(contains)
+    return X.minimal_subset(lambda idx: _holds(*interval(idx), 1))
 
 
 def shrink_intervals(K: Polytope, X: PointSet):
     """``(idx, lo, fit)`` for every nonempty subset Y = X[idx], in (size,
     lexicographic index) order: for eps > 0, eps Y fits in a translate of K
     exactly when eps <= fit, and then the origin is in its hull exactly when
-    lo <= eps; None is no bound (fit) or no reachable one (lo).
-
-    Scaling Y scales its supports, so, with S = L s(Y) and the rules of
-    :func:`minimal_strong_witness` in ints: a circuit with <mu, S_S> > 0
-    bounds eps by <mu, L b_S> / <mu, S_S>; for S_i < 0 a nontrivial
-    representation of a_i holds exactly when <lam, S_B> > 0 and eps >=
-    (<lam, L b_B> - d L b_i) / <lam, S_B>, a positive bound since every row
-    is a facet.
+    lo <= eps; None is no bound (fit) or no reachable one (lo).  This is
+    :func:`_interval_rule` about the origin.
     """
     _check_joint(K, X)
-    circuits, reps = K.conic_dependences
-    _, lb, M = _levels(K, X.points)
-    out = []
-    for k in range(1, len(X) + 1):
-        for idx in combinations(range(len(X)), k):
-            S = [max(row[j] for j in idx) for row in M]
-            fit = min((
-                Fraction(_weighted(T, mu, lb), t)
-                for T, mu in circuits if (t := _weighted(T, mu, S)) > 0
-            ), default=None)
-            lows = [min((
-                Fraction(_weighted(B, lam, lb) - d * lb[i], t)
-                for B, lam, d in reps[i][1:] if (t := _weighted(B, lam, S)) > 0
-            ), default=None) for i, v in enumerate(S) if v < 0]
-            lo = None if None in lows else max(lows, default=Fraction(0))
-            out.append((idx, lo, fit))
-    return out
+    interval = _interval_rule(K, X.points + ((Fraction(0),) * K.dim,))
+    return [
+        (idx, *interval(idx))
+        for k in range(1, len(X) + 1) for idx in combinations(range(len(X)), k)
+    ]
 
 
 def guard_assignment(K: Polytope, X: PointSet, p: Vector):

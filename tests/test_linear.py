@@ -6,9 +6,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import bareiss_rank, gram_solve_linear
 
-import hcara.experiment
 import hcara.linear
 import hcara.lp
+import hcara.strong
 from hcara.errors import InputError
 from hcara.experiment import ExperimentConfig, random_instance
 from hcara.linear import (
@@ -328,13 +328,13 @@ class TestRestrict:
         # The table a drawn polytope carries is the drawn rows' table
         # restricted to the kept rows; some draws prune a row.
         pruned = []
-        real = hcara.experiment.restrict
+        real = hcara.strong.restrict
 
         def spy(table, keep):
             pruned.append(len(keep) < len(table[1]))
             return real(table, keep)
 
-        monkeypatch.setattr(hcara.experiment, "restrict", spy)
+        monkeypatch.setattr(hcara.strong, "restrict", spy)
         for dim in (2, 3, 4):
             config = ExperimentConfig(
                 seed=11, trials=1, dim=dim, max_normals=dim + 3, max_points=1,

@@ -118,6 +118,13 @@ class TestValidation:
             lambda: maximize_each([((1,), LE, 0.5)], [(1,)], 1),
             lambda: feasible_point([((True,), LE, 1)], 1),
             lambda: maximize_each([((1,), LE, "1")], [(1,)], 1),
+            lambda: feasible_point([((1,), GE, 1)], 1.0),
+            lambda: solve(LinearProgram(1.0, (((1,), GE, 1),))),
+            lambda: feasible_point([((1,), GE, 1)], True),
+            lambda: feasible_point(5, 1),
+            lambda: feasible_point([(5, GE, 1)], 1),
+            lambda: maximize([((1,), LE, 0)], 3, 1),
+            lambda: maximize_each([((1,), LE, 0)], 3, 1),
         ],
         ids=[
             "feasible_point-unknown-relation",
@@ -129,6 +136,13 @@ class TestValidation:
             "maximize_each-float",
             "feasible_point-bool",
             "maximize_each-str",
+            "feasible_point-float-num_vars",
+            "solve-float-num_vars",
+            "feasible_point-bool-num_vars",
+            "feasible_point-rows-not-iterable",
+            "feasible_point-coeffs-not-iterable",
+            "maximize-objective-not-iterable",
+            "maximize_each-objectives-not-iterable",
         ],
     )
     def test_every_entry_point_rejects_malformed_input(self, call):

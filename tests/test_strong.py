@@ -2,7 +2,7 @@ from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import named_normal_sets, named_polytopes, random_normal_sets
@@ -23,7 +23,7 @@ from hcara.errors import InputError, PreconditionError
 from hcara.experiment import ExperimentConfig, random_instance
 from hcara.hconvex import NormalSet, PointSet, h_hull_contains, support
 from hcara.invariants import caratheodory_number
-from hcara.linear import conic_dependences, dot, vadd, vneg, vscale
+from hcara.linear import conic_dependences, dot, primitive_direction, vadd, vneg, vscale
 from hcara.lp import GE, LpStatus, feasible_point, maximize, maximize_each
 from hcara.shapes import (
     cube_normals,
@@ -248,28 +248,34 @@ class TestValidationFromTable:
 
     @settings(max_examples=100, deadline=None)
     @given(row_systems())
-    def test_a_given_table_meets_the_same_checks(self, system):
-        # The private path of random_instance takes the table it is handed
-        # and builds none, but checks the rows as Polytope(...) does.
+    def test_irredundant_keeps_the_lp_facets(self, system):
+        # random_instance's path: bounded rows with distinct directions and
+        # offsets >= 1, pruned with one table, whose part on the kept rows
+        # the checks take as given.  The LPs decide which rows are facets.
         dim, normals, offsets = system
-        table = conic_dependences(normals)
+        distinct = {}
+        for a, b in zip(normals, offsets):
+            distinct.setdefault(primitive_direction(a), (a, 1 + abs(b)))
+        normals, offsets = (list(rows) for rows in zip(*distinct.values()))
+        assume(brute_spans_positively(normals, dim))
+        bad = lp_redundant_rows(normals, offsets, dim)
+        keep = [i for i in range(len(normals)) if i not in bad]
+        builds = []
+        real = hcara.strong.conic_dependences
 
-        def no_table(*args, **kwargs):
-            raise AssertionError("the table was built again")
+        def spy(vectors):
+            builds.append(vectors)
+            return real(vectors)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hcara.strong, "conic_dependences", no_table)
-            try:
-                K = Polytope._with_table(dim, tuple(normals), tuple(offsets), table)
-            except InputError as exc:
-                verdict = str(exc)
-            else:
-                verdict = None
-                assert K.conic_dependences is table
-                assert K.normal_set().conic_dependences is table
-        assert verdict == _verdict(*system)
-        if verdict is None:
-            assert K == Polytope(dim, tuple(normals), tuple(offsets))
+            mp.setattr(hcara.strong, "conic_dependences", spy)
+            K = Polytope._irredundant(dim, tuple(normals), offsets)
+        assert len(builds) == 1
+        assert K == Polytope(
+            dim, tuple(normals[i] for i in keep), tuple(offsets[i] for i in keep)
+        )
+        assert K.conic_dependences == conic_dependences(K.normals)
+        assert K.normal_set().conic_dependences is K.conic_dependences
 
     @settings(max_examples=150, deadline=None)
     @given(row_systems())
@@ -569,8 +575,8 @@ class TestTablePath:
         assert _int_member(K, X, p) is member
 
     @settings(max_examples=120, deadline=None)
-    @given(strong_cases())
-    def test_agrees_with_facet_lps(self, case):
+    @given(strong_cases(), st.data())
+    def test_agrees_with_facet_lps(self, case, data):
         K, X, queries = case
         supports = [support(X, a) for a in K.normals]
         tight = tight_supports(K, supports)
@@ -587,9 +593,17 @@ class TestTablePath:
                 assert tight == _facet_lp_supports(K, X)
                 table_member = all(dot(a, p) <= t for a, t in zip(K.normals, tight))
                 assert table_member == lp_member
-            assert _outcome(minimal_strong_witness, K, X, p) == _outcome(
-                lp_minimal_strong_witness, K, X, p
-            )
+            outcome = _outcome(minimal_strong_witness, K, X, p)
+            assert outcome == _outcome(lp_minimal_strong_witness, K, X, p)
+            # The table rule scales subsets about p, relying on circuits
+            # and representations vanishing on translations: (X + v, p + v)
+            # must give the translated outcome.
+            v = data.draw(vectors(K.dim))
+            moved = PointSet(K.dim, tuple(vadd(x, v) for x in X.points))
+            if isinstance(outcome, tuple):
+                outcome = tuple(vadd(x, v) for x in outcome)
+            assert _outcome(minimal_strong_witness, K, moved, vadd(p, v)) == outcome
+            assert _outcome(lp_minimal_strong_witness, K, moved, vadd(p, v)) == outcome
 
     @staticmethod
     def corpus_cases():
