@@ -21,6 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import __version__
 from .errors import (
@@ -29,12 +31,13 @@ from .errors import (
 from .hconvex import NormalSet, PointSet
 from .invariants import InvariantReport, caratheodory_number
 from .jsonio import require_keys, vector_to_json
-from .linear import Vector, dot, vadd, vscale, zero_vector
+from .linear import Vector, clear_denominators, vscale
 from .shapes import cube_polytope
 from .strong import (
     Polytope,
     _FacetRegion,
     _holds,
+    _least,
     fits_in_translate,
     guard_assignment,
     h_subset_strong_check,
@@ -122,12 +125,18 @@ def _rand_nonzero_vector(rng, dim, bound) -> Vector:
 
 
 def _ray_exit_scale(K: Polytope, direction: Vector) -> Fraction:
-    """Largest alpha with alpha * direction inside K (K must contain 0).
+    """Largest alpha with alpha * direction inside K (K must contain 0): the
+    least b_i / <a_i, direction> over <a_i, direction> > 0.
 
     K is bounded, so some facet normal has a positive product with any
-    nonzero direction, and the minimum is over a nonempty set."""
-    rows = ((dot(a, direction), b) for a, b in zip(K.normals, K.offsets))
-    return min(b / d for d, b in rows if d > 0)
+    nonzero direction, and the minimum is over a nonempty set.  With K's
+    int rows q a_i <= q b_i and the direction cleared to D / s, each ratio
+    is s q b_i / <q a_i, D>, compared by cross-multiplication
+    (``strong._least``)."""
+    _, A, b = K._cleared
+    D, s = clear_denominators(direction)
+    num, den = _least((v, t) for a, v in zip(A, b) if (t := sum(map(mul, a, D))) > 0)
+    return Fraction(s * num, den)
 
 
 def random_instance(config: ExperimentConfig, trial_index: int):
@@ -160,8 +169,14 @@ def random_instance(config: ExperimentConfig, trial_index: int):
         for _ in range(count):
             direction = _rand_nonzero_vector(rng, dim, cb)
             alpha = _ray_exit_scale(K, direction)
-            r = Fraction(rng.randint(0, cb), cb)
-            points[vadd(vscale(direction, r * alpha), shift)] = None
+            # direction * (num / den) + shift with num / den = (r / cb) alpha,
+            # one Fraction a coordinate
+            num, den = rng.randint(0, cb) * alpha.numerator, cb * alpha.denominator
+            points[tuple(
+                Fraction(d.numerator * num * c.denominator + c.numerator * d.denominator * den,
+                         d.denominator * den * c.denominator)
+                for d, c in zip(direction, shift)
+            )] = None
         return K, PointSet(dim, tuple(points))
     raise SamplingError(
         f"no admissible instance for trial {trial_index} within "
@@ -170,15 +185,20 @@ def random_instance(config: ExperimentConfig, trial_index: int):
 
 
 def _convex_combination(rng, X: PointSet, bound) -> Vector:
+    """sum w_j x_j / sum w_j for random weights w_j >= 0, not all 0: in ints
+    over the points' common denominator q, one Fraction a coordinate."""
     weights = [rng.randint(0, bound) for _ in X.points]
     if not any(weights):
         weights[0] = 1
     total = sum(weights)
-    p = zero_vector(X.dim)
-    for w, x in zip(weights, X.points):
-        if w:
-            p = vadd(p, vscale(x, Fraction(w, total)))
-    return p
+    q = lcm(*(c.denominator for x in X.points for c in x))
+    return tuple(
+        Fraction(
+            sum(w * c.numerator * (q // c.denominator) for w, c in zip(weights, col)),
+            q * total,
+        )
+        for col in zip(*X.points)
+    )
 
 
 def _nearby_point(rng, X: PointSet, bound) -> Vector:

@@ -117,18 +117,17 @@ class PointSet:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("dimension must be >= 1")
-        pts = []
-        seen = set()
+        pts = {}  # in order; each point hashed once
         for p in self.points:
             p = tuple(exact(c) for c in p)
             if len(p) != self.dim:
                 raise InputError(
                     f"point {p} has dimension {len(p)}, expected {self.dim}"
                 )
-            if p in seen:
+            n = len(pts)
+            pts[p] = None
+            if len(pts) == n:
                 raise InputError(f"duplicate point {p}")
-            seen.add(p)
-            pts.append(p)
         object.__setattr__(self, "points", tuple(pts))
 
     def __len__(self):

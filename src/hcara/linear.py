@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError, InternalConsistencyError
 
@@ -26,10 +27,6 @@ def exact(value) -> Fraction:
     if isinstance(value, float):
         raise InputError(f"float {value!r} is not exact; pass an int or a Fraction")
     raise InputError(f"{value!r} is not a number; pass an int or a Fraction")
-
-
-def zero_vector(dim: int) -> Vector:
-    return (Fraction(0),) * dim
 
 
 def dot(a: Vector, b: Vector) -> Fraction:
@@ -80,12 +77,14 @@ def clear_denominators(v) -> tuple[list[int], int]:
 def levels(vectors, points) -> tuple[int, list[list[int]]]:
     """One common L > 0 and M[i][j] = L <a_i, x_j> as ints, which order and
     sign as the inner products do: L is the vectors' common denominator
-    times the points', so every entry is an int dot product."""
+    times the points', so every entry is an int dot product.  Int vectors,
+    such as a polytope's cleared rows, have denominator 1 and enter as
+    they are."""
     qa = lcm(*(c.denominator for a in vectors for c in a))
     qx = lcm(*(c.denominator for x in points for c in x))
     xs = [[c.numerator * (qx // c.denominator) for c in x] for x in points]
     return qa * qx, [
-        [sum(a * v for a, v in zip(A, x)) for x in xs]
+        [sum(map(mul, A, x)) for x in xs]
         for A in ([c.numerator * (qa // c.denominator) for c in a] for a in vectors)
     ]
 

@@ -9,11 +9,13 @@ reads only its own row and the constraint rows, so ``maximize_each`` carries
 several cost rows through one phase 1 and then runs each objective's phase 2,
 lazily, on its own list of the constraint rows; ``maximize`` and
 ``feasible_point`` are the one-objective and no-objective cases of the same
-kernel, whose outcomes match a lone solve's pivot for pivot.  Inputs
-arrive as ints or fractions.Fraction.  A witness is checked by substitution
-into the input rows cleared of denominators, in ints, and only then leaves as
-Fractions, so feasibility and optimality are decided with zero tolerance and
-no Fraction arithmetic between the input check and the outcome.  Bland's
+kernel, whose outcomes match a lone solve's pivot for pivot.  Rows and
+objectives arrive as ints or fractions.Fraction, and an int stays an int
+until the tableau clears both kinds alike.  A witness is checked by
+substitution into the input rows cleared of denominators, in ints, and only
+then leaves as Fractions, so feasibility and optimality are decided with
+zero tolerance and no Fraction arithmetic between the input check and the
+outcome.  Bland's
 least-index rule for both the entering and leaving variable guarantees
 termination without any numerical safeguards.
 
@@ -81,12 +83,13 @@ def _number(value):
 
 
 def _checked_objective(objective, num_vars):
-    """The objective as a tuple of Fractions; InputError unless it has one
-    coefficient per variable."""
+    """The objective as a tuple, every value an int or a Fraction as given,
+    as in :func:`_checked_rows`; InputError unless it has one coefficient
+    per variable."""
     objective = _items(objective, "objective")
     if len(objective) != num_vars:
         raise InputError("objective length must equal num_vars")
-    return tuple(exact(c) for c in objective)
+    return tuple(map(_number, objective))
 
 
 @dataclass(frozen=True)

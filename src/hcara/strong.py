@@ -25,14 +25,20 @@ Two paths decide this, and each checks the other:
   the least <lam_B, c_B> / d over the representations d a_i = sum lam_j a_j,
   so p is in the hull exactly when every a_i has a representation with
   d (<a_i, p> - b_i) + <lam_B, c_B> <= 0.  The rule takes supports and
-  offsets times one common L > 0 as ints (``linear.levels``) and gives each
-  subset the interval of scales about a centre at which the centre lies in
-  its hull: ``shrink_intervals`` reads it about the origin, and a minimal
-  strong witness of p is a least subset whose interval about p holds 1.
+  offsets times one common L > 0 as ints and gives each subset the interval
+  of scales about a centre at which the centre lies in its hull, its bounds
+  compared as int ratios: ``shrink_intervals`` reads it about the origin,
+  and a minimal strong witness of p is a least subset whose interval about
+  p holds 1.
 
-A region's rows are the same levels, so the simplex gets ints, and its
-restricted hull is ``hconvex``'s rule on them: a hull check weighs ints
-against facet LPs.
+Each ``Polytope`` clears its rows once, at construction, to the ints
+q a_i and q b_i over one common q > 0.  Every level matrix is
+``linear.levels`` of those int rows against the points (``_levels``), so
+both paths work in ints from there: a region's rows and objectives are the
+same ints, so the simplex gets ints, and its restricted hull is
+``hconvex``'s rule on its levels, so a hull check weighs ints against
+facet LPs.  A Fraction is built only for a value that leaves: a bound, a
+point or an LP outcome.
 
 K bounded makes the region bounded, so the optima exist.  ``Polytope``
 construction decides boundedness in ints before any table
@@ -132,6 +138,10 @@ class Polytope:
     by ``normal_set()``, keeps K's normals and indices.  The one table, all
     ints, stays on K and on H as the attribute ``conic_dependences``;
     ``_irredundant`` restricts it from the table of the rows it prunes.
+    After the checks K keeps its int form ``_cleared`` = (q, A, b): the
+    least common q > 0 of every denominator, with A = q normals and
+    b = q offsets as ints, which every level matrix and region row reads.
+    Neither is a field, so equality and hashing ignore them.
     """
 
     dim: int
@@ -154,16 +164,19 @@ class Polytope:
             raise InputError("polytope is unbounded: normals do not span positively")
         if table is None:
             table = conic_dependences(normals)
-        cleared, _ = clear_denominators(offsets)
-        if any(_weighted(S, mu, cleared) <= 0 for S, mu in table[0]):
+        q = lcm(*(c.denominator for a in normals for c in a), *(b.denominator for b in offsets))
+        b = tuple(v.numerator * (q // v.denominator) for v in offsets)
+        if any(_weighted(S, mu, b) <= 0 for S, mu in table[0]):
             raise InputError("polytope has empty interior")
-        bad = redundant_rows(cleared, table)
+        bad = redundant_rows(b, table)
         if bad:
             raise InputError(f"rows {bad} are redundant, not facets")
+        A = tuple(tuple(c.numerator * (q // c.denominator) for c in a) for a in normals)
         # not fields, so equality and hashing ignore them
         object.__setattr__(self, "conic_dependences", table)
         object.__setattr__(H, "conic_dependences", table)
         object.__setattr__(self, "_normal_set", H)
+        object.__setattr__(self, "_cleared", (q, A, b))
 
     @classmethod
     def _irredundant(cls, dim, normals, offsets) -> "Polytope":
@@ -213,11 +226,14 @@ class Polytope:
 
 def _translate_rows(K: Polytope, L, lb, M, n):
     """X lies in K + t exactly when <a_i, t> >= s_i - b_i for every i, with
-    s_i the support of X; each row times L, so all ints, read off the
-    ``_levels`` (L, lb, M) of points whose first n are X."""
+    s_i the support of X; each row times L, so all ints: K's int rows
+    q a_i times L / q, and the right-hand sides read off the ``_levels``
+    (L, lb, M) of points whose first n are X."""
+    q, A, _ = K._cleared
+    k = L // q
     return [
-        (tuple(c.numerator * (L // c.denominator) for c in a), GE, max(row[:n]) - b)
-        for a, row, b in zip(K.normals, M, lb)
+        (tuple(k * c for c in a), GE, max(row[:n]) - b)
+        for a, row, b in zip(A, M, lb)
     ]
 
 
@@ -243,19 +259,23 @@ class _FacetRegion:
     restricted-hull test (``hconvex.hull_rule``) and its facet tests.  The
     maxima depend on X alone, so every query reads one ``lp.maximize_each``:
     one phase 1, and each facet's phase 2 the first time a query reaches
-    that facet."""
+    that facet.  Its objectives are K's int rows -q a_i, whose maxima are q
+    times the facets'."""
 
     def __init__(self, K: Polytope, X: PointSet, queries):
         self._n = len(X)
-        self._L, self._lb, self._M = _levels(K, X.points + tuple(queries))
+        L, self._lb, self._M = _levels(K, X.points + tuple(queries))
+        q, A, _ = K._cleared
+        self._scale = L // q
         self._outcomes = maximize_each(
-            _translate_rows(K, self._L, self._lb, self._M, self._n),
-            [vneg(a) for a in K.normals], K.dim,
+            _translate_rows(K, L, self._lb, self._M, self._n),
+            [vneg(a) for a in A], K.dim,
         )
         self._optima = []
 
     def _optimum(self, i):
-        """The maximum of -<a_i, t> over the region; None when it is empty."""
+        """The maximum of -q <a_i, t> over the region; None when it is
+        empty."""
         while self._optima is not None and len(self._optima) <= i:
             outcome = next(self._outcomes)
             if outcome.status is LpStatus.INFEASIBLE:
@@ -279,13 +299,14 @@ class _FacetRegion:
 
     def contains(self, j) -> bool:
         """Membership of query p_j in the hull by the facet maxima num / den
-        in ints: (L <a_i, p_j> - L b_i) den + L num > 0 violates facet i,
-        which ends the query before the later facets' phase 2."""
+        of -q <a_i, t> in ints: (L <a_i, p_j> - L b_i) den + (L / q) num > 0
+        violates facet i, which ends the query before the later facets'
+        phase 2."""
         for i, (row, b) in enumerate(zip(self._M, self._lb)):
             value = self._optimum(i)
             if value is None:
                 raise PreconditionError("X does not fit in any translate of K")
-            if (row[self._n + j] - b) * value.denominator + self._L * value.numerator > 0:
+            if (row[self._n + j] - b) * value.denominator + self._scale * value.numerator > 0:
                 return False
         return True
 
@@ -308,15 +329,12 @@ def strong_hull_contains(K: Polytope, X: PointSet, p: Vector) -> bool:
 
 
 def _levels(K: Polytope, points):
-    """``(L, L b, M)``, all ints: M the levels L <a_i, x> of
-    ``linear.levels`` of K's normals against the points, with L raised to
-    clear the offsets."""
-    L, M = levels(K.normals, points)
-    k = lcm(L, *(b.denominator for b in K.offsets)) // L
-    L *= k
-    return L, [b.numerator * (L // b.denominator) for b in K.offsets], [
-        [k * v for v in row] for row in M
-    ]
+    """``(L, L b, M)``, all ints, with M[i][j] = L <a_i, x_j>: the
+    ``linear.levels`` (L', M) of K's int rows q a_i against the points,
+    with L = q L'."""
+    q, A, b = K._cleared
+    L, M = levels(A, points)
+    return q * L, [L * v for v in b], M
 
 
 def _interval_rule(K: Polytope, points):
@@ -332,23 +350,43 @@ def _interval_rule(K: Polytope, points):
     <mu, S_S> (Farkas); for S_i < 0 a nontrivial representation of a_i holds
     exactly when <lam, S_B> > 0 and eps >= (<lam, L b_B> - d L b_i) /
     <lam, S_B> (LP duality), a positive bound since every row is a facet.
+    Each bound stays a pair (num, den > 0) of ints, compared by
+    cross-multiplication; only lo and fit become Fractions.  The numerators
+    depend on K and L alone, so they are formed once for every subset.
     """
     circuits, reps = K.conic_dependences
     _, lb, M = _levels(K, points)
+    fits = [(T, mu, _weighted(T, mu, lb)) for T, mu in circuits]
+    lows = [
+        [(B, lam, _weighted(B, lam, lb) - d * lb[i]) for B, lam, d in entries[1:]]
+        for i, entries in enumerate(reps)
+    ]
 
     def interval(idx):
         S = [max(row[j] for j in idx) - row[-1] for row in M]
-        fit = min((
-            Fraction(_weighted(T, mu, lb), t)
-            for T, mu in circuits if (t := _weighted(T, mu, S)) > 0
-        ), default=None)
-        lows = [min((
-            Fraction(_weighted(B, lam, lb) - d * lb[i], t)
-            for B, lam, d in reps[i][1:] if (t := _weighted(B, lam, S)) > 0
-        ), default=None) for i, v in enumerate(S) if v < 0]
-        return None if None in lows else max(lows, default=Fraction(0)), fit
+        fit = _least((n, t) for T, mu, n in fits if (t := _weighted(T, mu, S)) > 0)
+        fit = None if fit is None else Fraction(*fit)
+        lo = None
+        for i, v in enumerate(S):
+            if v < 0:
+                low = _least((n, t) for B, lam, n in lows[i] if (t := _weighted(B, lam, S)) > 0)
+                if low is None:
+                    return None, fit
+                if lo is None or low[0] * lo[1] > lo[0] * low[1]:
+                    lo = low
+        return Fraction(*(lo or (0, 1))), fit
 
     return interval
+
+
+def _least(bounds):
+    """The least ratio num / den of int pairs with den > 0, as its pair, by
+    cross-multiplication; None when there are none."""
+    best = None
+    for n, t in bounds:
+        if best is None or n * best[1] < best[0] * t:
+            best = n, t
+    return best
 
 
 def _holds(lo, fit, eps) -> bool:
@@ -393,11 +431,11 @@ def guard_assignment(K: Polytope, X: PointSet, p: Vector):
     <a, x> >= <a, p> and <a, x> > <a, y> for every other y in X.
 
     Returns the full map {point index: normal index} or None when some point
-    has no such normal.  Compares the int levels L <a, x> of
-    ``linear.levels``, which order as the inner products do since L > 0.
+    has no such normal.  Compares the int levels L <a, x> of ``_levels``,
+    which order as the inner products do since L > 0.
     """
     p = _query(K, X, p)
-    _, M = levels(K.normals, X.points + (p,))
+    _, _, M = _levels(K, X.points + (p,))
     n = len(X)
     out = {}
     for j in range(n):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     InputError,
@@ -20,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .hconvex import ExclusionAssignment, NormalSet, PointSet, point_set_verdicts
-from .linear import clear_denominators, conic_dependences, dot, echelon, vscale
+from .linear import clear_denominators, conic_dependences, echelon
 from .lp import EQ, LE, feasible_point
 
 __all__ = [
@@ -100,31 +101,33 @@ def helly_witness_points(H: NormalSet, B) -> WitnessReport:
             lam = circuits[-1][1]
     if lam is None:
         raise InputError("B is not minimally positively dependent")
-    scaled = [vscale(S[i], lam[i]) for i in range(k)]
-    # b_r = W_r / q_r in ints; one elimination ends row r of [W W^T | I] as
-    # p_r [e_r | row r of G^-1], G = W W^T, so y_r = q_r (G^-1 W)_r, over D.
-    W, q = zip(*map(clear_denominators, scaled[:-1]))
+    # b_r = lam_r a_r = W_r / q_r in ints; one elimination ends row r of
+    # [W W^T | I] as p_r [e_r | row r of G^-1], G = W W^T, so
+    # y_r = q_r (G^-1 W)_r, over D.
+    W, q = zip(*(
+        ([c * x for x in ints], s)
+        for c, (ints, s) in zip(lam, map(clear_denominators, S))
+    ))
+    basis = W[:-1]
     m = [
-        [sum(x * y for x, y in zip(u, v)) for v in W] + [int(r == c) for c in range(k - 1)]
-        for r, u in enumerate(W)
+        [sum(map(mul, u, v)) for v in basis] + [int(r == c) for c in range(k - 1)]
+        for r, u in enumerate(basis)
     ]
     if len(echelon(m, k - 1)) < k - 1:
         raise InternalConsistencyError("witness system must be consistent")
     D = lcm(*(m[r][r] for r in range(k - 1)))
-    Y = [[q[r] * (D // m[r][r]) * sum(g * w[t] for g, w in zip(m[r][k - 1:], W))
+    Y = [[q[r] * (D // m[r][r]) * sum(g * w[t] for g, w in zip(m[r][k - 1:], basis))
           for t in range(H.dim)] for r in range(k - 1)]
     neg_sum = [-sum(col) for col in zip(*Y)]
-    points = []
-    for i in range(k):
-        x = neg_sum if i == k - 1 else [v + k * y for v, y in zip(neg_sum, Y[i])]
-        x = tuple(Fraction(v, D) for v in x)
-        if dot(scaled[i], x) != k - 1:
+    X = [[v + k * y for v, y in zip(neg_sum, Y[i])] for i in range(k - 1)] + [neg_sum]
+    # the checks in ints over D: <b_i, x_i> = k - 1 and sum x_i = 0
+    for w, s, x in zip(W, q, X):
+        if sum(map(mul, w, x)) != (k - 1) * s * D:
             raise InternalConsistencyError("self inner product must be k - 1")
-        points.append(x)
-    total = tuple(sum(col, Fraction(0)) for col in zip(*points))
-    if any(c != 0 for c in total):
+    if any(map(sum, zip(*X))):
         raise InternalConsistencyError("witness points must sum to zero")
-    report = _report(H, PointSet(H.dim, tuple(points)), HELLY, idx)
+    points = tuple(tuple(Fraction(v, D) for v in x) for x in X)
+    report = _report(H, PointSet(H.dim, points), HELLY, idx)
     if not report.valid:
         raise InternalConsistencyError("constructed witness failed validation")
     return report

@@ -16,6 +16,9 @@ shares no code with the conic-dependence table that ``helly_number`` reads.
 reads the strong hull's supports off ``Polytope.conic_dependences`` in
 ``Fraction`` sums, the values that the facet LPs must reach and that the
 integer search over the same table decides without computing.
+``fraction_interval_rule`` is ``hcara.strong._interval_rule`` in Fractions,
+over ``dot`` and the offsets as given, so it shares neither the polytope's
+int form nor the int ratio comparisons.
 ``brute_caratheodory`` is the Caratheodory number from its definition, with
 ``fraction_simplex`` and a search over covers, against the paper's theorem.
 ``lp_is_conical_position`` is conical position by its LP definition on
@@ -352,6 +355,36 @@ def tight_supports(K: Polytope, supports):
         b - min(weighted(B, lam) / d for B, lam, d in entries)
         for b, entries in zip(K.offsets, reps)
     ]
+
+
+def fraction_interval_rule(K: Polytope, points):
+    """``interval(idx) -> (lo, fit)`` for the subsets Y = points[idx] of
+    points[:-1] about the centre c = points[-1], as
+    ``hcara.strong._interval_rule`` defines them, with every bound a
+    Fraction: S = s(Y) - <a, c>, fit the least <mu, b_S> / <mu, S_S> over
+    the circuits with <mu, S_S> > 0, and lo the greatest, over the a_i with
+    S_i < 0, of the least (<lam, b_B> - d b_i) / <lam, S_B> over the
+    nontrivial representations with <lam, S_B> > 0."""
+    circuits, reps = K.conic_dependences
+    b = K.offsets
+    dots = [[dot(a, x) for x in points] for a in K.normals]
+
+    def weighted(indices, coeffs, values):
+        return sum(x * values[j] for j, x in zip(indices, coeffs))
+
+    def interval(idx):
+        S = [max(row[j] for j in idx) - row[-1] for row in dots]
+        fit = min((
+            weighted(T, mu, b) / t
+            for T, mu in circuits if (t := weighted(T, mu, S)) > 0
+        ), default=None)
+        lows = [min((
+            (weighted(B, lam, b) - d * b[i]) / t
+            for B, lam, d in reps[i][1:] if (t := weighted(B, lam, S)) > 0
+        ), default=None) for i, v in enumerate(S) if v < 0]
+        return None if None in lows else max(lows, default=_Q0), fit
+
+    return interval
 
 
 def _fraction_pivot(T, z, basis, pr, pc):

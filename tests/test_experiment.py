@@ -19,6 +19,7 @@ import hcara.strong
 from hcara.errors import InputError, InternalConsistencyError, PreconditionError
 from hcara.experiment import (
     ExperimentConfig,
+    _ray_exit_scale,
     check_guard_existence,
     check_lower_bound_scaling,
     check_upper_bounds,
@@ -30,7 +31,7 @@ from hcara.experiment import (
 from hcara.hconvex import PointSet
 from hcara.invariants import caratheodory_number
 from hcara.jsonio import dump_canonical
-from hcara.linear import vadd, vscale
+from hcara.linear import dot, vadd, vscale
 from hcara.shapes import cube_polytope, pyramid_polytope, simplex_polytope
 from hcara.strong import (
     Polytope, fits_in_translate, minimal_strong_witness, shrink_intervals,
@@ -96,6 +97,25 @@ class TestRandomInstance:
     def test_distinct_trials_differ(self):
         instances = {dump_canonical(random_instance(SMALL, i)[0].to_json()) for i in range(5)}
         assert len(instances) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((2, 3)), st.integers(0, 10 ** 6),
+        st.sampled_from((F(1), F(2, 3), F(5, 4))), st.data(),
+    )
+    def test_ray_exit_is_least_offset_ratio(self, dim, seed, stretch, data):
+        # the int cross-multiplication against min b_i / <a_i, d> in
+        # Fractions, on polytopes whose offsets need not be ints
+        config = ExperimentConfig(seed=seed, trials=1, dim=dim, max_normals=dim + 3)
+        K, _ = random_instance(config, 0)
+        K = Polytope(dim, K.normals, tuple(stretch * b for b in K.offsets))
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        d = data.draw(st.tuples(*[entry] * dim).filter(any))
+        exit_scale = _ray_exit_scale(K, d)
+        assert type(exit_scale) is F
+        assert exit_scale == min(
+            b / dot(a, d) for a, b in zip(K.normals, K.offsets) if dot(a, d) > 0
+        )
 
 
 class TestChecks:
@@ -291,6 +311,19 @@ class TestSuite:
         report = run_suite(ExperimentConfig(seed=3, trials=2, dim=3, scaling_depth=1))
         doc = dump_canonical(report)
         assert json.loads(doc)["summary"]["trials"] == 2
+
+
+def test_run_suite_hash():
+    """The canonical reports of the (7, 11) x (2, 3) suite hash to the
+    value every change to the trial path keeps."""
+    sha = hashlib.sha256()
+    for seed in (7, 11):
+        for dim in (2, 3):
+            config = ExperimentConfig(seed=seed, trials=60, dim=dim, max_normals=dim + 3)
+            sha.update(dump_canonical(run_suite(config)).encode())
+    assert sha.hexdigest() == (
+        "f66960263192869ef9800869c3bbe2e863baeeab27bd0329a268ad8dba8f0b53"
+    )
 
 
 @pytest.mark.parametrize(

@@ -76,8 +76,12 @@ class TestConstruction:
             NormalSet(2, ((F(0), F(0)),))
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(InputError):
-            PointSet(2, ((F(1), F(1)), (F(1), F(1))))
+        # the first repeat is named, as exact coordinates, adjacent or not
+        a, b = (F(1), F(1)), (F(0), F(2))
+        for points, repeat in (((a, a), a), ((a, b, (1, F(2, 2))), a), ((a, b, b, a), b)):
+            with pytest.raises(InputError) as exc:
+                PointSet(2, points)
+            assert str(exc.value) == f"duplicate point {repeat}"
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InputError):

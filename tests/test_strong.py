@@ -1,5 +1,6 @@
 from dataclasses import fields
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from conftest import named_normal_sets, named_polytopes, random_normal_sets
 from oracles import (
     brute_conic_dependences,
     brute_spans_positively,
+    fraction_interval_rule,
     lp_interior_slack,
     lp_minimal_strong_witness,
     lp_redundant_rows,
@@ -26,6 +28,7 @@ from hcara.invariants import caratheodory_number
 from hcara.linear import conic_dependences, dot, primitive_direction, vadd, vneg, vscale
 from hcara.lp import GE, LpStatus, feasible_point, maximize, maximize_each
 from hcara.shapes import (
+    cross_polytope,
     cube_normals,
     cube_polytope,
     pyramid_normals,
@@ -38,6 +41,7 @@ from hcara.shapes import (
 from hcara.strong import (
     Polytope,
     _FacetRegion,
+    _interval_rule,
     _levels,
     _translate_rows,
     fits_in_translate,
@@ -448,6 +452,58 @@ class TestIntView:
             _assert_int_entries(K.normals, circuits, reps)
 
 
+def _assert_int_form(K, points):
+    """K's int form is q > 0 times its rows, and the levels read off it are
+    exact: L > 0, lb[i] = L b_i and M[i][j] = L <a_i, x_j>, all ints,
+    checked in Fractions."""
+    q, A, b = K._cleared
+    assert type(q) is int and q > 0
+    assert all(type(v) is int for v in b) and b == tuple(q * v for v in K.offsets)
+    assert all(type(c) is int for a in A for c in a)
+    assert A == tuple(tuple(q * c for c in a) for a in K.normals)
+    L, lb, M = _levels(K, points)
+    assert type(L) is int and L > 0
+    assert all(type(v) is int for v in lb) and lb == [L * v for v in K.offsets]
+    assert all(type(v) is int for row in M for v in row)
+    assert M == [[L * dot(a, x) for x in points] for a in K.normals]
+
+
+class TestIntForm:
+    """Every way to build a ``Polytope`` leaves it an exact int form, and
+    ``_levels`` reads exact levels off it."""
+
+    POINTS = {
+        2: [(F(1, 2), F(-2, 3)), (F(0), F(5, 7)), (F(3), F(-1))],
+        3: [(F(1, 2), F(-2, 3), F(1, 5)), (F(0), F(0), F(0)), (F(7, 4), F(2), F(-3, 8))],
+    }
+
+    @pytest.mark.parametrize("name,K", [(name, K) for name, K, _ in named_polytopes()])
+    def test_shapes(self, name, K):
+        _assert_int_form(K, self.POINTS.get(K.dim, [(F(1, 3),) * K.dim]))
+
+    def test_from_json(self):
+        for K in (TestTablePath.PENTAGON, TestTablePath.QUADRANT):
+            K = Polytope.from_json(K.to_json())
+            _assert_int_form(K, self.POINTS[2])
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_systems(), st.data())
+    def test_constructors(self, system, data):
+        # Polytope(...) on the rows as drawn, with ints and Fractions mixed,
+        # and Polytope._irredundant on distinct directions, offsets >= 1
+        dim, normals, offsets = system
+        points = data.draw(st.lists(vectors(dim), max_size=4))
+        mixed = [tuple(int(c) if c.denominator == 1 else c for c in a) for a in normals]
+        if _verdict(dim, normals, offsets) is None:
+            _assert_int_form(Polytope(dim, tuple(mixed), tuple(offsets)), points)
+        distinct = {}
+        for a, b in zip(normals, offsets):
+            distinct.setdefault(primitive_direction(a), (a, 1 + abs(b)))
+        normals, offsets = (list(rows) for rows in zip(*distinct.values()))
+        if brute_spans_positively(normals, dim):
+            _assert_int_form(Polytope._irredundant(dim, tuple(normals), offsets), points)
+
+
 def _assert_int_entries(normals, circuits, reps):
     """Every coefficient of the table is an int, and every entry holds by
     substitution into the normals as given."""
@@ -719,6 +775,31 @@ class TestTablePath:
         assert member
         assert taken == phase1 + [p for q in phase2 for p in q]
         assert len(taken) > len(phase1) + len(phase2[0])
+
+
+class TestIntervalRule:
+    """The int interval rule against its Fraction definition."""
+
+    # Random polytopes seldom give a subset two finite lower bounds, so
+    # that lo is a true maximum; these give many.
+    MANY_REPRESENTATIONS = (cross_polytope(3), pyramid_polytope(5), pyramid_polytope(6))
+
+    @settings(max_examples=80, deadline=None)
+    @given(strong_cases(), st.data())
+    def test_equals_fraction_rule(self, case, data):
+        K, X, queries = case
+        if K.dim == 3:
+            K = data.draw(st.sampled_from((K,) + self.MANY_REPRESENTATIONS))
+            stretch = data.draw(st.sampled_from((F(1), F(2, 3))))
+            K = Polytope(3, K.normals, tuple(stretch * b for b in K.offsets))
+        centre = data.draw(st.sampled_from(queries) | vectors(K.dim))
+        points = X.points + (centre,)
+        rule, reference = _interval_rule(K, points), fraction_interval_rule(K, points)
+        for k in range(1, len(X) + 1):
+            for idx in combinations(range(len(X)), k):
+                lo, fit = rule(idx)
+                assert (lo, fit) == reference(idx)
+                assert all(type(v) is F for v in (lo, fit) if v is not None)
 
 
 class TestFits:
