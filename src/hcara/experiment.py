@@ -203,13 +203,14 @@ def _convex_combination(rng, X: PointSet, bound) -> Vector:
 
 def _nearby_point(rng, X: PointSet, bound) -> Vector:
     """A query point in a slightly inflated bounding box of X; may or may not
-    lie in any hull."""
+    lie in any hull.  In ints over the points' common denominator q, one
+    Fraction a coordinate."""
+    q = lcm(*(c.denominator for x in X.points for c in x))
     coords = []
-    for d in range(X.dim):
-        lo = min(x[d] for x in X.points) - 1
-        hi = max(x[d] for x in X.points) + 1
-        span = hi - lo
-        coords.append(lo + span * Fraction(rng.randint(0, bound), bound))
+    for col in zip(*X.points):
+        ints = [c.numerator * (q // c.denominator) for c in col]
+        lo, hi = min(ints) - q, max(ints) + q
+        coords.append(Fraction(lo * bound + (hi - lo) * rng.randint(0, bound), q * bound))
     return tuple(coords)
 
 

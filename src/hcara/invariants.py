@@ -14,24 +14,24 @@ reported alongside.
 The cone search takes one of two paths, chosen by whether the normal set
 carries a table.  The normal set of a ``Polytope`` does, and the search reads
 conical position and hull avoidance off it by bitmask, with no LP.  A set
-built directly carries none, and each candidate keeps the LP definitions,
-``is_conical_position`` (by rank alone for a linearly independent set) and
-``positive_hull_contains``.  The benchmark's ``normal-sets`` workload keeps
-every set it draws, so a faster cone search there only grows its peak
-memory; once it stops keeping them, every set can build its table and the LP
-path can go.
+built directly carries none: each candidate decides conical position off its
+own table (``is_conical_position``, no LP) and keeps the LP definition of
+hull avoidance, ``positive_hull_contains``.  The benchmark's ``normal-sets``
+workload keeps every set it draws, so a faster cone search there only grows
+its peak memory; once it stops keeping them, every set can build its table
+and the last LP in the search can go.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, InternalConsistencyError
 from .hconvex import NormalSet
 from .linear import (
     Vector, conic_dependences, exact, exact_vectors, is_zero_vector, rank, vsub,
+    whole_circuit,
 )
-from .lp import EQ, GE, feasible_point
+from .lp import EQ, feasible_point
 
 __all__ = [
     "InvariantReport",
@@ -101,9 +101,8 @@ def is_simplex_with_origin(S) -> bool:
     nonnegative vanishing combination.  ``[0]`` qualifies; any other S that
     holds the zero vector does not.
 
-    Decided without an LP: S qualifies exactly when all of S is the last
-    circuit of its conic-dependence table.  A circuit has at most dim + 1
-    members, so a larger S fails without building a table.
+    Decided without an LP by ``linear.whole_circuit``: S qualifies exactly
+    when all of S is the last circuit of its conic-dependence table.
 
     A passing S is cross-checked to be affinely independent, which makes it
     the vertex set of a simplex with the origin in its relative interior.
@@ -113,10 +112,7 @@ def is_simplex_with_origin(S) -> bool:
         raise InputError("is_simplex_with_origin needs at least one vector")
     if any(is_zero_vector(s) for s in S):
         return len(S) == 1
-    if len(S) > len(S[0]) + 1:
-        return False
-    circuits, _ = conic_dependences(S)
-    if not circuits or circuits[-1][0] != tuple(range(len(S))):
+    if whole_circuit(S) is None:
         return False
     diffs = [vsub(s, S[0]) for s in S[1:]]
     if rank(diffs) != len(S) - 1:
@@ -126,23 +122,16 @@ def is_simplex_with_origin(S) -> bool:
     return True
 
 
-def _strictly_separable(S) -> bool:
-    """True iff some direction n has <n, s> >= 1 for every s in S (the
-    homogeneous rescaling of strict set-level separation from 0)."""
-    dim = len(S[0])
-    rows = [(s, GE, Fraction(1)) for s in S]
-    return feasible_point(rows, dim, nonneg=False) is not None
-
-
 def is_conical_position(S) -> bool:
     """Strict set-level separation from the origin plus no member lying in the
     positive hull of the rest.
 
-    A linearly independent S passes without an LP (Gordan; Davis 1954): the
-    system <n, s> = 1 for every s in S has a solution n, which separates S
-    strictly from the origin, and no member lies even in the span of the
-    others.  Only a dependent S, which includes every S with more than dim
-    members, solves the separability LP and one hull LP per member.
+    Read off S's own conic-dependence table, with no LP: S contains a
+    positively dependent subset exactly when it contains a circuit, so by
+    Gordan S is strictly separable from the origin exactly when its table
+    has no circuit; and by conic Caratheodory s_j lies in the positive hull
+    of the rest exactly when s_j has a representation besides the trivial
+    one.
     """
     S = exact_vectors(S, "is_conical_position")
     if not S:
@@ -150,14 +139,8 @@ def is_conical_position(S) -> bool:
     for s in S:
         if is_zero_vector(s):
             raise InputError("the zero vector cannot be in conical position")
-    if len(S) <= len(S[0]) and rank(S) == len(S):
-        return True
-    if not _strictly_separable(S):
-        return False
-    for j in range(len(S)):
-        if positive_hull_contains(S[:j] + S[j + 1:], S[j]):
-            return False
-    return True
+    circuits, reps = conic_dependences(S)
+    return not circuits and all(len(entries) == 1 for entries in reps)
 
 
 def helly_number(H: NormalSet) -> tuple[int, tuple[int, ...]]:
@@ -186,8 +169,10 @@ def _subset_tests(H: NormalSet):
     a representation with B inside T.  So S is in conical position exactly
     when it contains no circuit and no i in S has a nontrivial
     representation inside S, and pos(S) holds a_i, i not in S, exactly when
-    a_i has a representation inside S.  A set built directly keeps the LP
-    definitions, ``is_conical_position`` and ``positive_hull_contains``.
+    a_i has a representation inside S.  A set built directly applies the
+    same conical-position rule to each candidate's own table
+    (``is_conical_position``) and keeps the LP definition of hull
+    avoidance, ``positive_hull_contains``.
     """
     normals = H.normals
     if H.conic_dependences is None:

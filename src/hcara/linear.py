@@ -295,6 +295,20 @@ def conic_dependences(vectors):
     return tuple(ordered), tuple(tuple(entries) for entries in reps)
 
 
+def whole_circuit(vectors):
+    """The mu of the circuit made of all of ``vectors``, at least one and
+    none zero, or None when they do not form one: all of them must be the
+    last circuit of their own conic-dependence table, with mu in their
+    order.  A circuit has at most dim + 1 members, so a larger family builds
+    no table."""
+    if len(vectors) > len(vectors[0]) + 1:
+        return None
+    circuits, _ = conic_dependences(vectors)
+    if circuits and circuits[-1][0] == tuple(range(len(vectors))):
+        return circuits[-1][1]
+    return None
+
+
 def restrict(table, keep):
     """The conic-dependence table of the vectors a_k, k in ``keep``, read off
     ``table``, the table of all of them: the entries whose index sets lie

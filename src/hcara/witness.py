@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .hconvex import ExclusionAssignment, NormalSet, PointSet, point_set_verdicts
-from .linear import clear_denominators, conic_dependences, echelon
+from .linear import clear_denominators, echelon, whole_circuit
 from .lp import EQ, LE, feasible_point
 
 __all__ = [
@@ -94,11 +94,8 @@ def helly_witness_points(H: NormalSet, B) -> WitnessReport:
         mu = dict(H.conic_dependences[0]).get(key)
         if mu is not None:
             lam = [mu[key.index(i)] for i in idx]
-    elif k <= H.dim + 1:
-        # Circuits have at most dim + 1 members, so a larger B builds no table.
-        circuits = conic_dependences(S)[0]
-        if circuits and circuits[-1][0] == tuple(range(k)):
-            lam = circuits[-1][1]
+    else:
+        lam = whole_circuit(S)
     if lam is None:
         raise InputError("B is not minimally positively dependent")
     # b_r = lam_r a_r = W_r / q_r in ints; one elimination ends row r of

@@ -23,8 +23,8 @@ int form nor the int ratio comparisons.
 ``fraction_simplex`` and a search over covers, against the paper's theorem.
 ``lp_is_conical_position`` is conical position by its LP definition on
 ``fraction_simplex``, so ``brute_cone`` and ``brute_relaxed_cone`` share
-no code with ``is_conical_position``, which decides independent sets by
-rank alone.
+no code with ``is_conical_position``, which reads the set's own
+conic-dependence table.
 """
 from fractions import Fraction
 from functools import lru_cache

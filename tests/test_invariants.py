@@ -66,13 +66,24 @@ def dependence_candidates(draw, dim):
 
 
 @st.composite
-def conical_candidates(draw, dim):
-    """1..dim+2 nonzero vectors in R^dim with repeats, positive multiples
-    and negative multiples of earlier members drawn on purpose."""
-    S = draw(st.lists(nonzero_vectors(dim), min_size=1, max_size=dim + 2))
+def conical_candidates(draw, dim, max_size):
+    """1..max_size nonzero vectors in R^dim with repeats,
+    positive multiples and negative multiples of earlier members drawn on
+    purpose, about one a set.  The vectors are drawn freely, lifted into
+    the open upper halfspace, or put on the moment curve
+    (t, t^2, ..., t^(dim-1), 1) at distinct t, where in dim >= 3 any number
+    of them are in conical position, so that sets of more than dim members
+    in conical position come up too."""
+    S = draw(st.lists(nonzero_vectors(dim), min_size=1, max_size=max_size))
+    shape = draw(st.sampled_from(("free", "lifted", "moment")))
+    if shape == "lifted":
+        S = [v[:-1] + (abs(v[-1]) + 1,) for v in S]
+    elif shape == "moment":
+        ts = draw(st.lists(small_fractions, min_size=len(S), max_size=len(S), unique=True))
+        S = [tuple(t ** k for k in range(1, dim)) + (F(1),) for t in ts]
     scales = st.sampled_from((F(1), F(2), F(1, 2), F(-1), F(-2), F(-1, 2)))
     for i in range(1, len(S)):
-        if draw(st.integers(0, 2)) == 0:
+        if draw(st.integers(0, len(S))) == 0:
             c = draw(scales)
             S[i] = tuple(c * x for x in S[draw(st.integers(0, i - 1))])
     return draw(st.permutations(S))
@@ -145,12 +156,12 @@ class TestSimplexWithOrigin:
         assert not is_simplex_with_origin(list(pyramid_normals(4).normals))
 
     def test_more_than_dim_plus_one_vectors_fail_without_a_table(self, monkeypatch):
-        import hcara.invariants
+        import hcara.linear
 
         def no_table(*args, **kwargs):
             raise AssertionError("too many vectors to be a circuit; build no table")
 
-        monkeypatch.setattr(hcara.invariants, "conic_dependences", no_table)
+        monkeypatch.setattr(hcara.linear, "conic_dependences", no_table)
         S = [(i % 3 - 1, i % 5 - 2, i % 7 - 3, 1 - 2 * (i % 2)) for i in range(40)]
         assert not is_simplex_with_origin(S)
 
@@ -214,7 +225,7 @@ class TestConicalPosition:
         assert is_conical_position(S) == lp_is_conical_position(S) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 4).flatmap(conical_candidates))
+    @given(st.integers(1, 4).flatmap(lambda d: conical_candidates(d, 2 * d + 2)))
     def test_agrees_with_lp_definition(self, S):
         assert is_conical_position(S) == lp_is_conical_position(S)
 
@@ -227,34 +238,34 @@ class TestConicalPosition:
             [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
             [(1, 2, 0), (0, F(1, 3), 1)],
             [(1, 1, 1, 1), (0, -1, 2, 0), (0, 0, -3, 1), (F(1, 2), 0, 0, -1)],
+            [(1,), (2,)],
+            [(1,), (-1,)],
+            [(1,), (F(1, 2),), (3,)],
+            [(1, 0), (0, 1)],
+            [(1, 0), (0, 1), (1, 1)],
+            [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+            [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
+            [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+            *(
+                sides + extra
+                for sides in map(side_normals, (4, 5, 6))
+                for extra in ([], [tuple(sum(col) for col in zip(*sides))])
+            ),
         ],
     )
-    def test_independent_sets_solve_no_lp(self, monkeypatch, S):
-        import hcara.invariants
+    def test_solves_no_lp_and_takes_no_rank(self, monkeypatch, S):
+        """Conical position is read off the set's own table, whatever its
+        size or rank: no LP, no hull test and no rank."""
+        expected = lp_is_conical_position(S)
 
-        def no_lp(*args, **kwargs):
-            raise AssertionError("a linearly independent set needs no LP")
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"is_conical_position called {name}")
+            return call
 
-        monkeypatch.setattr(hcara.invariants, "feasible_point", no_lp)
-        assert is_conical_position(S)
-
-    def test_more_than_dim_vectors_take_no_rank(self, monkeypatch):
-        import hcara.invariants
-
-        ranks = []
-        original = hcara.invariants.rank
-
-        def spy(*args):
-            ranks.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(hcara.invariants, "rank", spy)
-        assert is_conical_position(side_normals(4))
-        assert not is_conical_position([(1, 0), (0, 1), (1, 1)])
-        assert not is_conical_position([(1,), (2,)])
-        assert ranks == []
-        assert is_conical_position([(1, 0), (0, 1)])
-        assert len(ranks) == 1
+        for name in ("feasible_point", "positive_hull_contains", "rank"):
+            monkeypatch.setattr(hcara.invariants, name, forbidden(name))
+        assert is_conical_position(S) == expected
 
 
 class TestConicalLocality:
@@ -522,8 +533,9 @@ def table_candidates(draw):
 
 class TestTablePath:
     """The cone search on a set with a table attached reads conical
-    position and hull avoidance off the table; a set built directly keeps
-    the LP definitions.  The two paths must give equal reports."""
+    position and hull avoidance off the table; a set built directly decides
+    conical position off each candidate's own table and keeps the LP
+    definition of hull avoidance.  The two paths must give equal reports."""
 
     @settings(max_examples=80, deadline=None)
     @given(table_candidates())

@@ -93,7 +93,7 @@ class TestHellyWitness:
         def no_table(*args, **kwargs):
             raise AssertionError("the polytope's table was built again")
 
-        monkeypatch.setattr(hcara.witness, "conic_dependences", no_table)
+        monkeypatch.setattr(hcara.witness, "whole_circuit", no_table)
         for name, K, idx, expected in cases:
             H = K.normal_set()
             if isinstance(expected, str):
