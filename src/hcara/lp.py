@@ -9,15 +9,18 @@ reads only its own row and the constraint rows, so ``maximize_each`` carries
 several cost rows through one phase 1 and then runs each objective's phase 2,
 lazily, on its own list of the constraint rows; ``maximize`` and
 ``feasible_point`` are the one-objective and no-objective cases of the same
-kernel, whose outcomes match a lone solve's pivot for pivot.  Rows and
-objectives arrive as ints or fractions.Fraction, and an int stays an int
-until the tableau clears both kinds alike.  A witness is checked by
-substitution into the input rows cleared of denominators, in ints, and only
-then leaves as Fractions, so feasibility and optimality are decided with
-zero tolerance and no Fraction arithmetic between the input check and the
-outcome.  Bland's
-least-index rule for both the entering and leaving variable guarantees
-termination without any numerical safeguards.
+kernel, whose outcomes match a lone solve's pivot for pivot.  Phase 1 starts
+from the slack basis where it can (Bixby, ORSA J. Computing 1992): a row
+whose slack can be basic at a nonnegative value starts on that slack, and
+only the other rows take an artificial, so a system of inequalities that
+the origin satisfies needs no phase-1 pivot.  Rows and objectives arrive as
+ints or fractions.Fraction, and an int stays an int until the tableau clears
+both kinds alike.  A witness is checked by substitution into the input rows
+cleared of denominators, in ints, and only then leaves as Fractions, so
+feasibility and optimality are decided with zero tolerance and no Fraction
+arithmetic between the input check and the outcome.  Bland's least-index
+rule for both the entering and leaving variable guarantees termination
+without any numerical safeguards.
 
 Strict inequalities are deliberately unsupported: callers encode strictness
 either through homogeneous rescaling (lambda > 0 becomes lambda >= 1) or by
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InputError, InternalConsistencyError
 from .linear import Vector, clear_denominators, exact, pivot, reduced_row
@@ -167,14 +171,20 @@ def _simplex(num_vars, rows, objectives, nonneg):
     objective, then the phase-1 row.  Each row is a positive multiple of its
     true row, so a basic variable's value is the row's rhs over the row's
     entry in that variable's column, and an objective row is a positive
-    multiple of the true reduced costs, read by sign.  Under the starting
-    artificial basis the phase-2 reduced costs are the costs, so each cost
-    row enters T as the cleared objective and rides through phase 1.  Phase
-    1 prices on its own row and pivots on constraint rows only, so it takes
-    the same pivots whatever cost rows ride along, and one phase 1 serves
-    every objective.  The artificial columns are never priced or read, so
-    they are not stored; an artificial stays in ``basis`` as its index
-    ``ncols + r``.
+    multiple of the true reduced costs, read by sign.
+
+    Every row is turned to a rhs >= 0, and a GE row with rhs 0 to a positive
+    slack.  A row whose slack then has a positive entry, LE with rhs >= 0 or
+    GE with rhs <= 0, starts with its slack basic at the rhs; every other
+    row, EQ or with a slack that would start negative, starts on an
+    artificial, and the phase-1 row sums those rows only.  Basic slacks and
+    artificials cost 0 in phase 2, so under the starting basis the phase-2
+    reduced costs are the costs: each cost row enters T as the cleared
+    objective and rides through phase 1.  Phase 1 prices on its own row and
+    pivots on constraint rows only, so it takes the same pivots whatever
+    cost rows ride along, and one phase 1 serves every objective.  The
+    artificial columns are never priced or read, so they are not stored; an
+    artificial stays in ``basis`` as its index ``ncols + r``.
 
     Each phase 2 runs only when its outcome is asked for, on the constraint
     rows as phase 1 left them plus its own cost row, so its pivots, witness
@@ -199,22 +209,26 @@ def _simplex(num_vars, rows, objectives, nonneg):
 
     cleared = [clear_denominators(coeffs + (rhs,)) for coeffs, _, rhs in rows]
     T = []
+    basis = []
     for r, (ints, scale) in enumerate(cleared):
         row = tableau_row(ints)
-        if r in slack_of:
-            row[slack_of[r]] = scale if rows[r][1] == LE else -scale
-        if ints[-1] < 0:
+        rel = rows[r][1]
+        if rel != EQ:
+            row[slack_of[r]] = scale if rel == LE else -scale
+        # rhs >= 0, and a GE row with rhs 0 turns so that its slack is +
+        if ints[-1] < 0 or (ints[-1] == 0 and rel == GE):
             row = [-v for v in row]
         T.append(row)
-    basis = [ncols + r for r in range(len(rows))]
+        basis.append(slack_of[r] if rel != EQ and row[slack_of[r]] > 0 else ncols + r)
 
-    # Phase 1 maximizes -(sum of artificials); with the artificial basis the
-    # reduced cost of structural column j is the column sum of the true rows.
-    # An objective row keeps its NEGATED value in the rhs cell, so pivoting
-    # updates it like any other row.
-    common = lcm(*(scale for _, scale in cleared))
+    # Phase 1 maximizes -(sum of artificials); with the starting basis the
+    # reduced cost of structural column j is the column sum of the true rows
+    # that start on an artificial.  An objective row keeps its NEGATED value
+    # in the rhs cell, so pivoting updates it like any other row.
+    artificial = [(row, scale) for row, (_, scale), b in zip(T, cleared, basis) if b >= ncols]
+    common = lcm(*(scale for _, scale in artificial))
     phase1 = [0] * (rhs_ix + 1)
-    for row, (_, scale) in zip(T, cleared):
+    for row, scale in artificial:
         k = common // scale
         for j, v in enumerate(row):
             if v:
@@ -255,7 +269,7 @@ def _simplex(num_vars, rows, objectives, nonneg):
         if not nonneg:
             X = [p - n for p, n in zip(X[:num_vars], X[num_vars:])]
         for (ints, _), (coeffs, rel, rhs) in zip(cleared, rows):
-            v = sum(c * x for c, x in zip(ints[:num_vars], X))
+            v = sum(map(mul, ints, X))  # X is one shorter: the rhs stays out
             b = ints[num_vars] * d
             if not (v <= b if rel == LE else v >= b if rel == GE else v == b):
                 raise InternalConsistencyError(
@@ -278,7 +292,7 @@ def _simplex(num_vars, rows, objectives, nonneg):
             yield LpOutcome(LpStatus.UNBOUNDED)
             continue
         X, d = witness(Tk, basis_k)
-        value = Fraction(sum(c * x for c, x in zip(cost, X)), d * cost_scale)
+        value = Fraction(sum(map(mul, cost, X)), d * cost_scale)
         yield LpOutcome(LpStatus.OPTIMAL, tuple(Fraction(x, d) for x in X), value)
 
 

@@ -15,9 +15,12 @@ Two paths decide this, and each checks the other:
   not on the query point, and share one row system, so one facet region per
   point set (``_FacetRegion``) reads them off one ``lp.maximize_each``: one
   phase 1, which is also the fit test, and each facet's phase 2 the first
-  time a query reaches that facet.  The queries on one X share the region:
-  ``h_subset_strong_check`` takes any number of points, and the harness's
-  cube check asks its two queries of one region;
+  time a query reaches that facet.  A row <a_i, t> >= s_i - b_i with
+  s_i <= b_i, X inside facet i at t = 0, starts on its slack, so only the
+  facets that X sticks out of take artificials, and phase 1 makes no pivot
+  when X lies in K, as on the harness's cube.  The queries on one X share
+  the region: ``h_subset_strong_check`` takes any number of points, and the
+  harness's cube check asks its two queries of one region;
 * the conic-dependence table of the normals (``linear.conic_dependences``),
   all ints and built once per polytope, read with no LP by one interval
   rule (``_interval_rule``).  By Farkas, X fits exactly when
@@ -41,8 +44,9 @@ facet LPs.  A Fraction is built only for a value that leaves: a bound, a
 point or an LP outcome.
 
 K bounded makes the region bounded, so the optima exist.  ``Polytope``
-construction decides boundedness in ints before any table
-(``spans_positively``) and reads its other checks off the table, no LP.
+construction decides boundedness in ints, before any table
+(``spans_positively``) or off the table it is handed, and reads its other
+checks off the table, no LP.
 """
 from __future__ import annotations
 
@@ -105,6 +109,15 @@ def spans_positively(normals, dim) -> bool:
     return len(ints) > dim
 
 
+def _spans_by_table(A, table, dim) -> bool:
+    """:func:`spans_positively` read off the conic-dependence table of the
+    int rows A: they span R^dim, one ``echelon`` of A having rank dim, and
+    every row lies in some circuit, so the circuits add up to a strictly
+    positive vanishing combination (Davis 1954)."""
+    covered = {j for S, _ in table[0] for j in S}
+    return len(covered) == len(A) and len(echelon([list(a) for a in A], dim)) == dim
+
+
 def redundant_rows(offsets, table) -> list[int]:
     """Indices of rows implied by the others (non-facets), given the
     conic-dependence table of the normals of rows with nonempty interior.
@@ -129,15 +142,17 @@ class Polytope:
     """Bounded full-dimensional polytope {x : <a_i, x> <= b_i}.
 
     The normals are checked by the ``NormalSet`` rules.  Construction then
-    runs three checks with no LP, in this order: bounded
-    (``spans_positively``, in ints and before any table), then, off the
+    runs three checks with no LP, in this order: bounded, then, off the
     conic-dependence table of the rows as given, nonempty interior
     (<mu_S, b_S> > 0 for every circuit S, by Gordan) and every row a facet
-    (``redundant_rows``).  Every row being a facet, no two normals are
-    positive multiples, so the normal set H of K, built once and handed out
-    by ``normal_set()``, keeps K's normals and indices.  The one table, all
-    ints, stays on K and on H as the attribute ``conic_dependences``;
-    ``_irredundant`` restricts it from the table of the rows it prunes.
+    (``redundant_rows``).  A polytope built directly decides boundedness in
+    ints before any table (``spans_positively``); one that ``_irredundant``
+    hands its table reads it off that table (``_spans_by_table``).  Every
+    row being a facet, no two normals are positive multiples, so the normal
+    set H of K, built once and handed out by ``normal_set()``, keeps K's
+    normals and indices.  The one table, all ints, stays on K and on H as
+    the attribute ``conic_dependences``; ``_irredundant`` restricts it from
+    the table of the rows it prunes.
     After the checks K keeps its int form ``_cleared`` = (q, A, b): the
     least common q > 0 of every denominator, with A = q normals and
     b = q offsets as ints, which every level matrix and region row reads.
@@ -160,18 +175,21 @@ class Polytope:
         H = NormalSet(self.dim, normals)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-        if not spans_positively(normals, self.dim):
+        q = lcm(*(c.denominator for a in normals for c in a), *(b.denominator for b in offsets))
+        A = tuple(tuple(c.numerator * (q // c.denominator) for c in a) for a in normals)
+        if not (
+            spans_positively(normals, self.dim) if table is None
+            else _spans_by_table(A, table, self.dim)
+        ):
             raise InputError("polytope is unbounded: normals do not span positively")
         if table is None:
             table = conic_dependences(normals)
-        q = lcm(*(c.denominator for a in normals for c in a), *(b.denominator for b in offsets))
         b = tuple(v.numerator * (q // v.denominator) for v in offsets)
         if any(_weighted(S, mu, b) <= 0 for S, mu in table[0]):
             raise InputError("polytope has empty interior")
         bad = redundant_rows(b, table)
         if bad:
             raise InputError(f"rows {bad} are redundant, not facets")
-        A = tuple(tuple(c.numerator * (q // c.denominator) for c in a) for a in normals)
         # not fields, so equality and hashing ignore them
         object.__setattr__(self, "conic_dependences", table)
         object.__setattr__(H, "conic_dependences", table)
@@ -290,7 +308,9 @@ class _FacetRegion:
 
     def fits(self) -> bool:
         """Whether X fits in some translate of K: phase 1's verdict, which
-        arrives with the first facet's optimum."""
+        arrives with the first facet's optimum.  Phase 1 starts at t = 0,
+        where every facet that X lies inside is met on its slack, so it
+        makes no pivot when X lies in K."""
         return self._optimum(0) is not None
 
     def in_h_hull(self, j) -> bool:

@@ -24,7 +24,9 @@ int form nor the int ratio comparisons.
 ``lp_is_conical_position`` is conical position by its LP definition on
 ``fraction_simplex``, so ``brute_cone`` and ``brute_relaxed_cone`` share
 no code with ``is_conical_position``, which reads the set's own
-conic-dependence table.
+conic-dependence table.  ``vertex_lp`` decides small LPs by enumerating
+basic points with ``_gauss_any_solution``, so it shares no simplex with
+either kernel.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -221,8 +223,9 @@ def brute_spans_positively(normals, dim):
 
 def table_spans_positively(normals, dim):
     """Positive spanning read off the conic-dependence table of nonzero
-    normals, the rule the library used before its int test: the normals
-    span R^dim and every normal lies in a circuit.  The circuits generate
+    normals, the rule ``Polytope`` reads off a table it is handed, here with
+    ``bareiss_rank`` for the rank: the normals span R^dim and every normal
+    lies in a circuit.  The circuits generate
     the cone of vanishing combinations mu >= 0, so a strictly positive one
     exists exactly when they cover every normal."""
     circuits, _ = conic_dependences(normals)
@@ -444,8 +447,10 @@ def _fraction_primal(T, z, basis, ncols):
 
 def fraction_simplex(num_vars, rows, objective, nonneg):
     """The Fraction-tableau simplex the integer kernel in hcara.lp replaced,
-    kept as a pivot-for-pivot reference.  Rows and objective must already be
-    Fractions.  Returns (status string, witness tuple or None).
+    kept as a pivot-for-pivot reference: it starts from the same basis, a
+    row's slack where that slack is +1 once the row has rhs >= 0 (a GE row
+    with rhs 0 turned), an artificial elsewhere.  Rows and objective must
+    already be Fractions.  Returns (status string, witness tuple or None).
 
     When ``nonneg`` is False the variables are free and get split into
     positive/negative parts; when True every variable is constrained >= 0 and
@@ -460,6 +465,7 @@ def fraction_simplex(num_vars, rows, objective, nonneg):
     rhs_ix = ncols + m
 
     T = []
+    basis = []
     for r, (coeffs, rel, rhs) in enumerate(rows):
         row = [_Q0] * (rhs_ix + 1)
         for j, c in enumerate(coeffs):
@@ -470,20 +476,27 @@ def fraction_simplex(num_vars, rows, objective, nonneg):
         if rel != EQ:
             row[slack_of[r]] = _Q1 if rel == LE else -_Q1
         b = rhs
-        if b < 0:
+        if b < 0 or (b == 0 and rel == GE):
             row = [-v for v in row]
             b = -b
-        row[art0 + r] = _Q1
+        # a row whose slack is +1 starts on it; every other row on an
+        # artificial
+        if rel != EQ and row[slack_of[r]] > 0:
+            basis.append(slack_of[r])
+        else:
+            row[art0 + r] = _Q1
+            basis.append(art0 + r)
         row[rhs_ix] = b
         T.append(row)
-    basis = [art0 + r for r in range(m)]
 
-    # Phase 1: maximize -(sum of artificials); with the artificial basis the
-    # reduced cost of structural column j is the column sum.  The z-row keeps
-    # the NEGATED objective value in the rhs cell so pivoting updates it like
-    # any other row.
+    # Phase 1: maximize -(sum of artificials); with the starting basis the
+    # reduced cost of structural column j is the column sum of the rows that
+    # start on an artificial.  The z-row keeps the NEGATED objective value in
+    # the rhs cell so pivoting updates it like any other row.
     z = [_Q0] * (rhs_ix + 1)
-    for row in T:
+    for row, b in zip(T, basis):
+        if b < art0:
+            continue
         for j in range(ncols):
             if row[j]:
                 z[j] += row[j]
@@ -642,6 +655,65 @@ def gram_solve_linear(rows, rhs) -> Vector | None:
             for j in range(dim):
                 x[j] += y[i] * rows[i][j]
     return tuple(x)
+
+
+def _basic_points(num_vars, rows):
+    """The points x of the row system's minimal faces: for every linearly
+    independent set J of rank(A) rows, one solution of the rows of J as
+    equations (``_gauss_any_solution``), kept when it satisfies every row.  A
+    nonempty polyhedron has a minimal face {x : A_J x = b_J} for such a J,
+    so the list is empty exactly when the rows are infeasible."""
+    A = [a for a, _, _ in rows]
+    rank = bareiss_rank(A)
+    points = []
+    for J in combinations(range(len(rows)), rank):
+        if not J:
+            x = (_Q0,) * num_vars
+        elif bareiss_rank([A[i] for i in J]) < rank:
+            continue
+        else:
+            x = _gauss_any_solution([A[i] for i in J], [rows[i][2] for i in J])
+        if all(_satisfies(row, x) for row in rows):
+            points.append(x)
+    return points
+
+
+def _satisfies(row, x):
+    a, rel, b = row
+    v = dot(a, x)
+    return v <= b if rel == LE else v >= b if rel == GE else v == b
+
+
+def vertex_lp(num_vars, rows, objective, nonneg):
+    """(status, value) of the LP of :func:`hcara.lp.maximize` (or of
+    ``feasible_point`` when ``objective`` is None) by enumerating the basic
+    points of its rows, with no simplex; for at most 3 variables and 5
+    rows.  ``nonneg`` adds the rows x_j >= 0.
+
+    The LP is unbounded exactly when the recession cone {r : A r rel 0}
+    holds an r with <c, r> > 0.  Cut by <c, r> <= 1, the cone is a
+    polyhedron on which <c, r> is bounded above, so its basic points reach
+    the maximum, 1 or 0.  Otherwise <c, x> is constant on every minimal face,
+    and the optimum is the best basic point.
+    """
+    if num_vars > 3 or len(rows) > 5:
+        raise InputError("vertex_lp takes at most 3 variables and 5 rows")
+    rows = [(tuple(map(Fraction, a)), rel, Fraction(b)) for a, rel, b in rows]
+    if nonneg:
+        rows += [
+            (tuple(Fraction(int(i == j)) for i in range(num_vars)), GE, _Q0)
+            for j in range(num_vars)
+        ]
+    points = _basic_points(num_vars, rows)
+    if not points:
+        return "infeasible", None
+    if objective is None:
+        return "feasible", None
+    c = tuple(map(Fraction, objective))
+    cone = [(a, rel, _Q0) for a, rel, _ in rows] + [(c, LE, _Q1)]
+    if max(dot(c, r) for r in _basic_points(num_vars, cone)) > 0:
+        return "unbounded", None
+    return "optimal", max(dot(c, x) for x in points)
 
 
 def per_point_helly_witness(normals, idx):

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import fraction_simplex
+from oracles import fraction_simplex, vertex_lp
 
 import hcara.lp
 from hcara.errors import InputError, InternalConsistencyError
@@ -265,6 +265,66 @@ class TestAgainstFractionKernel:
         assert_matches_fraction_kernel(*lp)
 
 
+@st.composite
+def small_programs(draw):
+    """(num_vars, rows, objective or None, nonneg) with at most 3 variables
+    and 5 rows of every starting kind: rows that start on their slack (LE
+    with rhs >= 0, GE with rhs <= 0), rows with rhs 0, EQ rows, LE rows with
+    a negative rhs and GE rows with a positive one."""
+    num_vars = draw(st.integers(1, 3))
+    # sampled values draw far faster than st.fractions
+    positive = st.sampled_from((1, 2, 3, F(1, 2), F(4, 3), F(5, 2)))
+    negative = positive.map(lambda b: -b)
+    value = st.integers(-4, 4) | positive | negative
+    vector = st.tuples(*[value] * num_vars)
+    row = st.one_of(
+        st.tuples(vector, st.just(LE), positive),
+        st.tuples(vector, st.just(GE), negative),
+        st.tuples(vector, st.sampled_from((LE, EQ, GE)), st.just(0)),
+        st.tuples(vector, st.just(EQ), value),
+        st.tuples(vector, st.just(LE), negative),
+        st.tuples(vector, st.just(GE), positive),
+    )
+    rows = draw(st.lists(row, max_size=5))
+    return num_vars, rows, draw(st.none() | vector), draw(st.booleans())
+
+
+def assert_solves(rows, witness, nonneg):
+    """The witness satisfies every row, and x >= 0 under ``nonneg``, by
+    substitution."""
+    assert all(row_satisfied(coeffs, rel, rhs, witness) for coeffs, rel, rhs in rows)
+    assert not nonneg or min(witness) >= 0
+
+
+class TestAgainstVertexEnumeration:
+    """Status and optimum of every entry point against ``vertex_lp``, which
+    enumerates basic points and shares no simplex with the kernel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_programs())
+    # no rows, so the origin is phase 1's start and every objective's bound
+    @example((2, [], (1, 0), True))
+    # every row starts on its slack, and the optimum leaves the origin
+    @example((2, [((1, 0), LE, 2), ((-1, -1), GE, -3), ((0, 1), GE, 0)], (1, 1), False))
+    # rhs 0 of every relation, a cone with the origin as its apex
+    @example((2, [((1, -1), GE, 0), ((1, 1), LE, 0), ((1, 0), EQ, 0)], (1, 2), False))
+    def test_status_value_and_witnesses(self, program):
+        num_vars, rows, objective, nonneg = program
+        objectives = [] if objective is None else [objective, tuple(-c for c in objective)]
+        expected = [vertex_lp(num_vars, rows, c, nonneg) for c in objectives or [None]]
+        point = feasible_point(rows, num_vars, nonneg)
+        assert (point is None) == (expected[0][0] == "infeasible")
+        if point is not None:
+            assert_solves(rows, point, nonneg)
+        outcomes = [maximize(rows, c, num_vars, nonneg) for c in objectives]
+        assert list(maximize_each(rows, objectives, num_vars, nonneg)) == outcomes
+        for c, out, (status, value) in zip(objectives, outcomes, expected):
+            assert (out.status.value.lower(), out.value) == (status, value)
+            if out.status is LpStatus.OPTIMAL:
+                assert_solves(rows, out.witness, nonneg)
+                assert dot(c, out.witness) == value
+
+
 class TestKernel:
     def test_int_rows_give_fraction_witnesses(self):
         point = feasible_point([((2,), GE, 1)], 1)
@@ -301,17 +361,33 @@ class TestKernel:
         assert (out.status, out.witness, out.value) == (LpStatus.OPTIMAL, (0, 2), 4)
         assert_matches_fraction_kernel(2, rows, (1, 2), True)
 
-    def test_drive_out_pivots_on_a_negative_entry(self):
-        # Phase 1 enters x2 on row 1 and stops with the artificial of row 0
-        # basic at level 0; row 0 reads -x0 - 2x1 = 0, so the pivot that
-        # drives it out is -1.  Phase 2 then enters x1 through row 0.
-        rows = [((-1, -2, 0), EQ, 0), ((1, 1, 1), LE, 3)]
+    def test_drive_out_pivots_on_a_negative_entry(self, monkeypatch):
+        # Both rows are equalities, so both start on artificials, and the
+        # phase-1 row is their sum, -x1 + x2 with value 3.  Phase 1 enters x2
+        # on row 1, the only row with a positive x2, and stops at value 0
+        # with the artificial of row 0 basic at level 0; row 0 still reads
+        # -x0 - 2x1 = 0, so the pivot that drives it out is -1, and row 1
+        # becomes -x1 + x2 = 3.  With x >= 0, x0 + 2x1 = 0 forces
+        # x0 = x1 = 0 and then x2 = 3: (0, 0, 3) is the only feasible point,
+        # so the witness is (0, 0, 3) and the value 0 + 0 + 3 = 3.  Phase 2
+        # prices x1 at 1 + 1 = 2 and enters it through row 0 at level 0.
+        rows = [((-1, -2, 0), EQ, 0), ((1, 1, 1), EQ, 3)]
         objective = (0, 1, 1)
+        real = hcara.lp.pivot
+        entries = []
+
+        def spy(T, r, c):
+            entries.append((r, c, T[r][c]))
+            return real(T, r, c)
+
+        monkeypatch.setattr(hcara.lp, "pivot", spy)
+        assert feasible_point(rows, 3, nonneg=True) == (0, 0, 3)
+        assert [(r, c, e > 0) for r, c, e in entries] == [(1, 2, True), (0, 0, False)]
         out = maximize(rows, objective, 3, nonneg=True)
         assert (out.status, out.witness, out.value) == (
             LpStatus.OPTIMAL, (0, 0, 3), 3
         )
-        assert feasible_point(rows, 3, nonneg=True) == (0, 0, 3)
+        assert [(r, c) for r, c, _ in entries[2:]] == [(1, 2), (0, 0), (0, 1)]
         assert_matches_fraction_kernel(3, rows, objective, True)
 
     def test_hilbert_system_with_60_digit_data(self):
@@ -395,13 +471,14 @@ def lone_solves(num_vars, rows, objectives, nonneg):
 
 
 # One program per outcome the entry must carry through: no rows, an
-# infeasible system, an unbounded objective beside a bounded one, and
-# redundant equalities whose rows the drive-out drops.
+# infeasible system, an unbounded objective beside a bounded one, redundant
+# equalities whose rows the drive-out drops, and a drive-out on a negative
+# entry.
 @example((2, [], [(1, 0), (-1, 0)], True))
 @example((1, [((1,), GE, 1), ((-1,), GE, 0)], [(1,), (-1,)], False))
 @example((1, [((1,), GE, F(1, 2))], [(1,), (-1,)], False))
 @example((2, [((1, 1), EQ, 2), ((2, 2), EQ, 4), ((3, 3), EQ, 6)], [(1, 2), (2, 1), (-1, 0)], True))
-@example((3, [((-1, -2, 0), EQ, 0), ((1, 1, 1), LE, 3)], [(0, 1, 1), (1, 0, 0)], True))
+@example((3, [((-1, -2, 0), EQ, 0), ((1, 1, 1), EQ, 3)], [(0, 1, 1), (1, 0, 0)], True))
 @settings(max_examples=300, deadline=None)
 @given(multi_objective_programs())
 def test_maximize_each_is_one_phase_1_and_the_lone_phase_2s(program):

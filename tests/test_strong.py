@@ -299,6 +299,65 @@ class TestValidationFromTable:
                 with pytest.raises(AssertionError, match="a table was built"):
                     _verdict(*system)
 
+    def test_table_path_runs_no_spans_positively(self, monkeypatch):
+        # _irredundant hands over the table of rows the sampler has already
+        # tested, and boundedness is read off that table.
+        def no_spans(*args, **kwargs):
+            raise AssertionError("spans_positively was called")
+
+        square = [tuple(map(F, a)) for a in _SQUARE]
+        expected = Polytope(2, tuple(square), (F(1),) * 4)
+        monkeypatch.setattr(hcara.strong, "spans_positively", no_spans)
+        assert Polytope._irredundant(2, square, [F(1)] * 4) == expected
+        for dim in (2, 3):
+            config = ExperimentConfig(
+                seed=42, trials=1, dim=dim, max_normals=dim + 3, max_points=4,
+                coordinate_bound=3, scaling_depth=0,
+            )
+            for trial_index in range(6):
+                random_instance(config, trial_index)
+
+    @pytest.mark.parametrize(
+        "dim, normals",
+        [
+            # rank 2 in R^3, every row in a circuit
+            (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]),
+            # rank 2, but (0, 1) lies in no circuit
+            (2, [(1, 0), (-1, 0), (0, 1)]),
+            (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)]),
+        ],
+        ids=["rank-deficient", "uncovered-row", "uncovered-rows"],
+    )
+    def test_table_path_rejects_unbounded_rows_alike(self, dim, normals):
+        normals = [tuple(map(F, a)) for a in normals]
+        offsets = [F(1)] * len(normals)
+        message = "polytope is unbounded: normals do not span positively"
+        assert _verdict(dim, normals, offsets) == message
+        with pytest.raises(InputError, match=f"^{message}$"):
+            Polytope._irredundant(dim, tuple(normals), offsets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_systems())
+    def test_table_path_agrees_with_direct_construction(self, system):
+        # rows with distinct directions and offsets >= 1, as _irredundant
+        # takes them: its verdict on the rows it keeps, read off their
+        # table, is that of a Polytope built directly from those rows
+        dim, normals, offsets = system
+        distinct = {}
+        for a, b in zip(normals, offsets):
+            distinct.setdefault(primitive_direction(a), (a, 1 + abs(b)))
+        normals, offsets = (list(rows) for rows in zip(*distinct.values()))
+        bad = hcara.strong.redundant_rows(offsets, conic_dependences(normals))
+        keep = [i for i in range(len(normals)) if i not in bad]
+        try:
+            Polytope._irredundant(dim, tuple(normals), offsets)
+            verdict = None
+        except InputError as exc:
+            verdict = str(exc)
+        assert verdict == _verdict(
+            dim, [normals[i] for i in keep], [offsets[i] for i in keep]
+        )
+
     def test_construction_solves_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
             raise AssertionError("an LP was solved")
@@ -775,6 +834,43 @@ class TestTablePath:
         assert member
         assert taken == phase1 + [p for q in phase2 for p in q]
         assert len(taken) > len(phase1) + len(phase2[0])
+
+    @pytest.mark.parametrize(
+        "points, phase1_pivots",
+        [
+            # inside the cube: every row <a_i, t> >= s_i - b_i has rhs <= 0,
+            # so every row starts on its slack and t = 0 is phase 1's start
+            (((0, 0, 0), (1, F(1, 2), 1), (F(1, 3), 1, 0)), False),
+            # sticking out of x <= 1: that row needs an artificial
+            (((2, 0, 0), (2, 1, F(1, 2))), True),
+        ],
+    )
+    def test_cube_region_pivots_only_where_x_sticks_out(
+        self, monkeypatch, points, phase1_pivots
+    ):
+        K = cube_polytope(3)
+        X = PointSet(3, tuple(tuple(map(F, x)) for x in points))
+        log = []
+        real_pivot, real_primal = hcara.lp.pivot, hcara.lp._primal
+
+        def pivot(T, r, c):
+            log.append((r, c))
+            return real_pivot(T, r, c)
+
+        def primal(T, basis, ncols):
+            log.append("primal")
+            return real_primal(T, basis, ncols)
+
+        monkeypatch.setattr(hcara.lp, "pivot", pivot)
+        monkeypatch.setattr(hcara.lp, "_primal", primal)
+        region = _FacetRegion(K, X, [X.points[0]])
+        assert region.fits() and region.contains(0)
+        # phase 1 and any drive-out come before the second _primal, the
+        # first phase 2
+        first_phase_2 = log.index("primal", 1)
+        assert log[0] == "primal"
+        assert bool(log[1:first_phase_2]) is phase1_pivots
+        assert log.count("primal") == 1 + len(K)
 
 
 class TestIntervalRule:

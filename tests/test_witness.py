@@ -9,6 +9,7 @@ import pytest
 from oracles import per_point_helly_witness
 
 import hcara.hconvex
+import hcara.lp
 from hcara.errors import InputError, NotMaximalWitnessError
 from hcara.hconvex import NormalSet, PointSet, covering_holds, minimal_h_witness
 from hcara.invariants import caratheodory_number
@@ -179,6 +180,24 @@ class TestConeWitness:
         # it certifies only |B|, which is allowed
         rep = cone_witness_points(BOX, (0,))
         assert rep.covering_ok and rep.drop_one_ok and len(rep.points) == 1
+
+    def test_rows_start_on_artificials(self, monkeypatch):
+        # Each LP is one EQ row and LE rows with rhs -1, so no row can start
+        # on its slack: every row takes an artificial, and the pivots are
+        # those of an all-artificial start, four per point.
+        pivots = []
+        real = hcara.lp.pivot
+
+        def spy(T, r, c):
+            pivots.append((r, c))
+            return real(T, r, c)
+
+        monkeypatch.setattr(hcara.lp, "pivot", spy)
+        cone_witness_points(pyramid_normals(4), (0, 1, 2, 3))
+        assert pivots == [
+            (0, 0), (1, 5), (2, 6), (3, 1), (0, 3), (1, 5), (2, 6), (3, 1),
+            (0, 1), (3, 5), (1, 8), (2, 0), (0, 4), (3, 5), (1, 8), (2, 0),
+        ]
 
     def test_deterministic(self):
         a = cone_witness_points(BOX, (0, 2))
