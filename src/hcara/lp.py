@@ -6,10 +6,10 @@ rows are ordinary bottom rows of that tableau, so one step updates constraints
 and objectives alike: every row is a positive integer multiple of its true
 rational row, and a constraint row's basic entry is its denominator.  Phase 1
 reads only its own row and the constraint rows, so ``maximize_each`` carries
-several cost rows through one phase 1 and then runs each objective's phase 2,
-lazily, on its own list of the constraint rows; ``maximize`` and
-``feasible_point`` are the one-objective and no-objective cases of the same
-kernel, whose outcomes match a lone solve's pivot for pivot.  Phase 1 starts
+several cost rows through one phase 1 and then runs each objective's phase 2
+on its own list of the constraint rows; ``maximize`` and ``feasible_point``
+are the one-objective and no-objective cases of the same kernel, whose
+outcomes match a lone solve's pivot for pivot.  Phase 1 starts
 from the slack basis where it can (Bixby, ORSA J. Computing 1992): a row
 whose slack can be basic at a nonnegative value starts on that slack, and
 only the other rows take an artificial, so a system of inequalities that
@@ -159,8 +159,8 @@ def _primal(T, basis, ncols):
 
 
 def _simplex(num_vars, rows, objectives, nonneg):
-    """Core solver on checked rows, a generator: the outcome of maximizing
-    each of ``objectives`` in turn, or the one outcome of the feasibility
+    """Core solver on checked rows: the list of outcomes of maximizing each
+    of ``objectives`` in turn, or the one outcome of the feasibility
     question when ``objectives`` is None.
 
     When ``nonneg`` is False the variables are free and get split into
@@ -186,9 +186,9 @@ def _simplex(num_vars, rows, objectives, nonneg):
     artificial columns are never priced or read, so they are not stored; an
     artificial stays in ``basis`` as its index ``ncols + r``.
 
-    Each phase 2 runs only when its outcome is asked for, on the constraint
-    rows as phase 1 left them plus its own cost row, so its pivots, witness
-    and value are those of a lone solve of that objective.  A witness is
+    Each phase 2 runs on the constraint rows as phase 1 left them plus its
+    own cost row, so its pivots, witness and value are those of a lone
+    solve of that objective.  A witness is
     checked by substitution into the cleared input rows, which no pivot
     touches, in ints over one common denominator d of the basic entries;
     Fractions are built only for the witness and the value.
@@ -240,9 +240,7 @@ def _simplex(num_vars, rows, objectives, nonneg):
     if _primal(T, basis, ncols) == "unbounded":
         raise InternalConsistencyError("phase-1 objective cannot be unbounded")
     if T.pop()[rhs_ix] != 0:
-        for _ in costs if objectives is not None else (None,):
-            yield LpOutcome(LpStatus.INFEASIBLE)
-        return
+        return [LpOutcome(LpStatus.INFEASIBLE)] * (1 if objectives is None else len(costs))
 
     # Drive leftover artificials out of the basis; a row with no structural
     # pivot left is redundant and gets dropped.
@@ -279,27 +277,28 @@ def _simplex(num_vars, rows, objectives, nonneg):
 
     if objectives is None:
         X, d = witness(T, basis)
-        yield LpOutcome(LpStatus.FEASIBLE, tuple(Fraction(x, d) for x in X))
-        return
+        return [LpOutcome(LpStatus.FEASIBLE, tuple(Fraction(x, d) for x in X))]
     # pivot replaces the rows it changes and never edits one in place, so a
     # phase 2 on a new list of the constraint rows leaves them intact for
     # the next.
     m = len(basis)
+    outcomes = []
     for k, (cost, cost_scale) in enumerate(costs):
         Tk = T[:m] + [T[m + k]]
         basis_k = basis[:]
         if _primal(Tk, basis_k, ncols) == "unbounded":
-            yield LpOutcome(LpStatus.UNBOUNDED)
+            outcomes.append(LpOutcome(LpStatus.UNBOUNDED))
             continue
         X, d = witness(Tk, basis_k)
         value = Fraction(sum(map(mul, cost, X)), d * cost_scale)
-        yield LpOutcome(LpStatus.OPTIMAL, tuple(Fraction(x, d) for x in X), value)
+        outcomes.append(LpOutcome(LpStatus.OPTIMAL, tuple(Fraction(x, d) for x in X), value))
+    return outcomes
 
 
 def _solve(rows, objectives, num_vars, nonneg):
-    """Check and coerce the input, then hand back the simplex's outcomes,
-    which verify any witness against every row by exact substitution.  The
-    input is checked at the call, the simplex runs as outcomes are read."""
+    """Check and coerce the input, then solve: the simplex's list of
+    outcomes, which verify any witness against every row by exact
+    substitution."""
     rows = _checked_rows(rows, num_vars)
     if objectives is not None:
         objectives = _items(objectives, "objectives")
@@ -315,7 +314,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     row by exact substitution before being returned.
     """
     objectives = None if lp.objective is None else (lp.objective,)
-    return next(_solve(lp.rows, objectives, lp.num_vars, nonneg=False))
+    return _solve(lp.rows, objectives, lp.num_vars, nonneg=False)[0]
 
 
 def feasible_point(rows, num_vars, nonneg=False) -> Vector | None:
@@ -324,18 +323,17 @@ def feasible_point(rows, num_vars, nonneg=False) -> Vector | None:
     Lower-level sibling of :func:`solve` used by the geometry modules; with
     ``nonneg`` every variable is constrained to be >= 0 without explicit rows.
     """
-    return next(_solve(rows, None, num_vars, nonneg)).witness
+    return _solve(rows, None, num_vars, nonneg)[0].witness
 
 
 def maximize(rows, objective, num_vars, nonneg=False) -> LpOutcome:
     """Maximize ``objective`` subject to rows; statuses as in :func:`solve`."""
-    return next(_solve(rows, (objective,), num_vars, nonneg))
+    return _solve(rows, (objective,), num_vars, nonneg)[0]
 
 
-def maximize_each(rows, objectives, num_vars, nonneg=False):
-    """Iterator over the outcomes of maximizing each of ``objectives``
-    subject to one row system, in order: each equals the matching
-    :func:`maximize` call's outcome.  One phase 1 serves them all, and each
-    phase 2 runs only when its outcome is read, so a caller that stops early
-    skips the rest.  The input is checked at the call."""
+def maximize_each(rows, objectives, num_vars, nonneg=False) -> list[LpOutcome]:
+    """The outcomes of maximizing each of ``objectives`` subject to one row
+    system, in order: each equals the matching :func:`maximize` call's
+    outcome.  One phase 1 serves them all, then each objective's phase 2
+    runs in turn."""
     return _solve(rows, objectives, num_vars, nonneg)

@@ -13,9 +13,9 @@ Two paths decide this, and each checks the other:
   ``strong_hull_contains`` and ``h_subset_strong_check`` solve the region's
   feasibility and the m facet maxima as exact LPs.  The maxima depend on X,
   not on the query point, and share one row system, so one facet region per
-  point set (``_FacetRegion``) reads them off one ``lp.maximize_each``: one
-  phase 1, which is also the fit test, and each facet's phase 2 the first
-  time a query reaches that facet.  A row <a_i, t> >= s_i - b_i with
+  point set (``_FacetRegion``) solves them all at once with one
+  ``lp.maximize_each``: one phase 1, which is also the fit test, and then
+  every facet's phase 2.  A row <a_i, t> >= s_i - b_i with
   s_i <= b_i, X inside facet i at t = 0, starts on its slack, so only the
   facets that X sticks out of take artificials, and phase 1 makes no pivot
   when X lies in K, as on the harness's cube.  The queries on one X share
@@ -44,9 +44,9 @@ facet LPs.  A Fraction is built only for a value that leaves: a bound, a
 point or an LP outcome.
 
 K bounded makes the region bounded, so the optima exist.  ``Polytope``
-construction decides boundedness in ints, before any table
-(``spans_positively``) or off the table it is handed, and reads its other
-checks off the table, no LP.
+construction reads boundedness and its other checks off the table, no LP;
+``spans_positively`` decides boundedness in ints with no table, for a
+sampler that filters draws before building one.
 """
 from __future__ import annotations
 
@@ -142,17 +142,14 @@ class Polytope:
     """Bounded full-dimensional polytope {x : <a_i, x> <= b_i}.
 
     The normals are checked by the ``NormalSet`` rules.  Construction then
-    runs three checks with no LP, in this order: bounded, then, off the
-    conic-dependence table of the rows as given, nonempty interior
-    (<mu_S, b_S> > 0 for every circuit S, by Gordan) and every row a facet
-    (``redundant_rows``).  A polytope built directly decides boundedness in
-    ints before any table (``spans_positively``); one that ``_irredundant``
-    hands its table reads it off that table (``_spans_by_table``).  Every
-    row being a facet, no two normals are positive multiples, so the normal
-    set H of K, built once and handed out by ``normal_set()``, keeps K's
-    normals and indices.  The one table, all ints, stays on K and on H as
-    the attribute ``conic_dependences``; ``_irredundant`` restricts it from
-    the table of the rows it prunes.
+    runs three checks with no LP off the conic-dependence table of the rows
+    as given, in this order: bounded (``_spans_by_table``), nonempty
+    interior (<mu_S, b_S> > 0 for every circuit S, by Gordan) and every row
+    a facet (``redundant_rows``).  Every row being a facet, no two normals
+    are positive multiples, so the normal set H of K, built once and handed
+    out by ``normal_set()``, keeps K's normals and indices.  The one table,
+    all ints, stays on K and on H as the attribute ``conic_dependences``;
+    ``_irredundant`` restricts it from the table of the rows it prunes.
     After the checks K keeps its int form ``_cleared`` = (q, A, b): the
     least common q > 0 of every denominator, with A = q normals and
     b = q offsets as ints, which every level matrix and region row reads.
@@ -177,13 +174,10 @@ class Polytope:
         object.__setattr__(self, "offsets", offsets)
         q = lcm(*(c.denominator for a in normals for c in a), *(b.denominator for b in offsets))
         A = tuple(tuple(c.numerator * (q // c.denominator) for c in a) for a in normals)
-        if not (
-            spans_positively(normals, self.dim) if table is None
-            else _spans_by_table(A, table, self.dim)
-        ):
-            raise InputError("polytope is unbounded: normals do not span positively")
         if table is None:
             table = conic_dependences(normals)
+        if not _spans_by_table(A, table, self.dim):
+            raise InputError("polytope is unbounded: normals do not span positively")
         b = tuple(v.numerator * (q // v.denominator) for v in offsets)
         if any(_weighted(S, mu, b) <= 0 for S, mu in table[0]):
             raise InputError("polytope has empty interior")
@@ -275,43 +269,28 @@ class _FacetRegion:
     ``queries``, indexed j in order.  One level matrix of K's normals
     against X and the queries gives the region's int rows, each query's
     restricted-hull test (``hconvex.hull_rule``) and its facet tests.  The
-    maxima depend on X alone, so every query reads one ``lp.maximize_each``:
-    one phase 1, and each facet's phase 2 the first time a query reaches
-    that facet.  Its objectives are K's int rows -q a_i, whose maxima are q
-    times the facets'."""
+    maxima depend on X alone, so construction solves them all with one
+    ``lp.maximize_each``: one phase 1, then every facet's phase 2.  Its
+    objectives are K's int rows -q a_i, whose maxima are q times the
+    facets'.  Raises PreconditionError unless X fits in some translate of
+    K."""
 
     def __init__(self, K: Polytope, X: PointSet, queries):
         self._n = len(X)
         L, self._lb, self._M = _levels(K, X.points + tuple(queries))
         q, A, _ = K._cleared
         self._scale = L // q
-        self._outcomes = maximize_each(
+        outcomes = maximize_each(
             _translate_rows(K, L, self._lb, self._M, self._n),
             [vneg(a) for a in A], K.dim,
         )
-        self._optima = []
-
-    def _optimum(self, i):
-        """The maximum of -q <a_i, t> over the region; None when it is
-        empty."""
-        while self._optima is not None and len(self._optima) <= i:
-            outcome = next(self._outcomes)
-            if outcome.status is LpStatus.INFEASIBLE:
-                self._optima = None
-            elif outcome.status is not LpStatus.OPTIMAL:
-                raise InternalConsistencyError(
-                    "translate region of a bounded polytope must be bounded"
-                )
-            else:
-                self._optima.append(outcome.value)
-        return None if self._optima is None else self._optima[i]
-
-    def fits(self) -> bool:
-        """Whether X fits in some translate of K: phase 1's verdict, which
-        arrives with the first facet's optimum.  Phase 1 starts at t = 0,
-        where every facet that X lies inside is met on its slack, so it
-        makes no pivot when X lies in K."""
-        return self._optimum(0) is not None
+        if outcomes[0].status is LpStatus.INFEASIBLE:
+            raise PreconditionError("X does not fit in any translate of K")
+        if any(o.status is not LpStatus.OPTIMAL for o in outcomes):
+            raise InternalConsistencyError(
+                "translate region of a bounded polytope must be bounded"
+            )
+        self._optima = [o.value for o in outcomes]
 
     def in_h_hull(self, j) -> bool:
         """Membership of query j in the hull of X restricted to K's normals."""
@@ -320,15 +299,11 @@ class _FacetRegion:
     def contains(self, j) -> bool:
         """Membership of query p_j in the hull by the facet maxima num / den
         of -q <a_i, t> in ints: (L <a_i, p_j> - L b_i) den + (L / q) num > 0
-        violates facet i, which ends the query before the later facets'
-        phase 2."""
-        for i, (row, b) in enumerate(zip(self._M, self._lb)):
-            value = self._optimum(i)
-            if value is None:
-                raise PreconditionError("X does not fit in any translate of K")
-            if (row[self._n + j] - b) * value.denominator + self._scale * value.numerator > 0:
-                return False
-        return True
+        violates facet i."""
+        return all(
+            (row[self._n + j] - b) * v.denominator + self._scale * v.numerator <= 0
+            for row, b, v in zip(self._M, self._lb, self._optima)
+        )
 
 
 def _query(K: Polytope, X: PointSet, p: Vector) -> Vector:
@@ -477,15 +452,12 @@ def h_subset_strong_check(K: Polytope, X: PointSet, *points) -> bool:
 
     Restricted membership is ``hconvex``'s rule under the normals of K.
     All the points share the one facet region of X and its level matrix: a
-    point inside the restricted hull is decided by the region's facet LPs,
-    and a point outside needs only the region's phase 1, which must find
-    that X fits."""
+    point inside the restricted hull is decided by the region's facet
+    maxima.  With no points no region is built and no LP is solved;
+    otherwise the region raises PreconditionError unless X fits."""
     _check_joint(K, X)
-    region = _FacetRegion(K, X, [_query(K, X, p) for p in points])
-    for j in range(len(points)):
-        if region.in_h_hull(j):
-            if not region.contains(j):
-                return False
-        elif not region.fits():
-            raise PreconditionError("X does not fit in any translate of K")
-    return True
+    queries = [_query(K, X, p) for p in points]
+    if not queries:
+        return True
+    region = _FacetRegion(K, X, queries)
+    return all(region.contains(j) for j in range(len(queries)) if region.in_h_hull(j))

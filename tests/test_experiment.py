@@ -378,7 +378,7 @@ def test_a_trial_builds_one_table_per_polytope(monkeypatch):
 
 def test_a_trial_solves_one_phase_1_per_point_set(monkeypatch):
     """Every LP of 16 seed-42 trials of the benchmark's dim-2 shape is one
-    region's phase 1 with the phase 2s its queries read: the hull-implication
+    region's phase 1 with every facet's phase 2: the hull-implication
     check's X and the cube check's point set each take one, whatever the
     number of query points, and a scaled set the scaling check finds too
     wide takes its fit LP.  No row system is solved twice in a trial, and

@@ -530,17 +530,3 @@ def test_maximize_each_examples_reach_every_status():
     assert [o.status for o in maximize_each([((1,), GE, F(1, 2))], [(1,), (-1,)], 1)] == [
         LpStatus.UNBOUNDED, LpStatus.OPTIMAL
     ]
-
-
-def test_maximize_each_runs_a_phase_2_only_when_read():
-    # the box [-1, 2] x [-1, 3]; every objective leaves phase 1's vertex
-    rows = [((1, 0), LE, 2), ((0, 1), LE, 3), ((-1, 0), LE, 1), ((0, -1), LE, 1)]
-    objectives = [(1, 0), (0, 1), (1, 1)]
-    phase1, solves = lone_solves(2, rows, objectives, False)
-    assert all(phase2 for _, phase2 in solves)
-    with pivot_log() as pivots:
-        outcomes = maximize_each(rows, objectives, 2)
-        assert pivots == []
-        first = next(outcomes)
-        assert pivots == phase1 + solves[0][1]
-    assert (first.witness, first.value) == (solves[0][0].witness, solves[0][0].value)

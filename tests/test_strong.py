@@ -283,21 +283,16 @@ class TestValidationFromTable:
 
     @settings(max_examples=150, deadline=None)
     @given(row_systems())
-    def test_unbounded_rows_build_no_table(self, system):
-        # Boundedness is decided before any table: an unbounded system gets
-        # its message with the table build made to raise, and any other
-        # system reaches the build.
-        def no_table(*args, **kwargs):
-            raise AssertionError("a table was built")
+    def test_construction_runs_no_spans_positively(self, system):
+        # Boundedness is read off the table on every path: with
+        # spans_positively, the sampler's filter, made to raise, every
+        # system, unbounded ones included, still gets the LP checks' verdict.
+        def no_spans(*args, **kwargs):
+            raise AssertionError("spans_positively was called")
 
-        unbounded = _lp_verdict(*system) == "polytope is unbounded: normals do not span positively"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hcara.strong, "conic_dependences", no_table)
-            if unbounded:
-                assert _verdict(*system) == _lp_verdict(*system)
-            else:
-                with pytest.raises(AssertionError, match="a table was built"):
-                    _verdict(*system)
+            mp.setattr(hcara.strong, "spans_positively", no_spans)
+            assert _verdict(*system) == _lp_verdict(*system)
 
     def test_table_path_runs_no_spans_positively(self, monkeypatch):
         # _irredundant hands over the table of rows the sampler has already
@@ -695,15 +690,17 @@ class TestTablePath:
         K, X, queries = case
         supports = [support(X, a) for a in K.normals]
         tight = tight_supports(K, supports)
-        region = _FacetRegion(K, X, queries)
+        try:
+            region = _FacetRegion(K, X, queries)
+        except PreconditionError:
+            region = None
+            assert tight is None
         for j, p in enumerate(queries):
-            assert region.in_h_hull(j) == h_hull_contains(K.normal_set(), X, p)
-            try:
-                lp_member = region.contains(j)
-            except PreconditionError:
-                assert tight is None
+            if region is None:
                 assert _int_member(K, X, p) is None
             else:
+                assert region.in_h_hull(j) == h_hull_contains(K.normal_set(), X, p)
+                lp_member = region.contains(j)
                 assert _int_member(K, X, p) == lp_member
                 assert tight == _facet_lp_supports(K, X)
                 table_member = all(dot(a, p) <= t for a, t in zip(K.normals, tight))
@@ -754,15 +751,15 @@ class TestTablePath:
 
     def test_reference_path_still_solves_lps(self, monkeypatch):
         # One call of the multi-objective entry with one objective per
-        # facet; a member reads every facet's optimum.
+        # facet, which solves every facet's optimum.
         calls = []
         read = []
 
         def each(rows, objectives, num_vars, nonneg=False):
             calls.append(("maximize_each", len(objectives)))
-            for outcome in hcara.lp.maximize_each(rows, objectives, num_vars, nonneg):
-                read.append(outcome.status)
-                yield outcome
+            outcomes = hcara.lp.maximize_each(rows, objectives, num_vars, nonneg)
+            read.extend(o.status for o in outcomes)
+            return outcomes
 
         def point(*args, **kwargs):
             calls.append(("feasible_point",))
@@ -804,10 +801,11 @@ class TestTablePath:
             runs.append((fit, outcomes, pivots))
         assert runs[0] == runs[1]
 
-    def test_first_violated_facet_ends_the_query(self, monkeypatch):
-        # X fits only in the square itself.  (2, 0) violates facet 0, x <= 1,
-        # so the query takes the region's phase 1 and facet 0's phase 2 and
-        # no later facet's; a member takes every facet's phase 2.
+    def test_region_takes_phase_1_then_every_phase_2(self, monkeypatch):
+        # X fits only in the square itself.  Building its region takes the
+        # region's phase 1 and then every facet's phase 2, in order, each
+        # with the pivots of a lone maximize, so a query takes them all,
+        # whether it is a member or, as (2, 0), violates facet 0, x <= 1.
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
         rows = _rows(CUBE2, X)
         pivots = []
@@ -825,15 +823,12 @@ class TestTablePath:
         _, phase1 = run(hcara.lp.feasible_point, rows, 2)
         lone = [run(maximize, rows, vneg(a), 2)[1] for a in CUBE2.normals]
         assert all(p[:len(phase1)] == phase1 for p in lone)
-        phase2 = [p[len(phase1):] for p in lone]
-        assert phase2[0]
-        assert run(strong_hull_contains, CUBE2, X, (F(2), F(0))) == (
-            False, phase1 + phase2[0]
-        )
-        member, taken = run(strong_hull_contains, CUBE2, X, (F(1), F(0)))
-        assert member
-        assert taken == phase1 + [p for q in phase2 for p in q]
-        assert len(taken) > len(phase1) + len(phase2[0])
+        every = phase1 + [p for q in lone for p in q[len(phase1):]]
+        assert len(every) > len(lone[0])
+        outside, member = (F(2), F(0)), (F(1), F(0))
+        assert run(_FacetRegion, CUBE2, X, [outside, member])[1] == every
+        assert run(strong_hull_contains, CUBE2, X, outside) == (False, every)
+        assert run(strong_hull_contains, CUBE2, X, member) == (True, every)
 
     @pytest.mark.parametrize(
         "points, phase1_pivots",
@@ -863,8 +858,7 @@ class TestTablePath:
 
         monkeypatch.setattr(hcara.lp, "pivot", pivot)
         monkeypatch.setattr(hcara.lp, "_primal", primal)
-        region = _FacetRegion(K, X, [X.points[0]])
-        assert region.fits() and region.contains(0)
+        assert _FacetRegion(K, X, [X.points[0]]).contains(0)
         # phase 1 and any drive-out come before the second _primal, the
         # first phase 2
         first_phase_2 = log.index("primal", 1)
@@ -1084,19 +1078,19 @@ class TestHullImplication:
     def test_one_region_per_point_set(self, monkeypatch, p, inside):
         # The restricted hull is hconvex's rule under K's normals, once per
         # point, on the region's one level matrix; (1, 0) lies on its
-        # boundary.  A point inside reads the region's facet optima, every
-        # one for a member, and a point outside only the first, which
-        # carries phase 1's verdict.  Any number of points share the one
-        # level matrix and the one maximize_each of X: no fit LP of its own.
+        # boundary.  The region solves every facet's optimum when it is
+        # built, before any point is tested, inside or not.  Any number of
+        # points share the one level matrix and the one maximize_each of X:
+        # no fit LP of its own.
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
         calls = []
         read = []
 
         def each(rows, objectives, num_vars, nonneg=False):
             calls.append("maximize_each")
-            for outcome in hcara.lp.maximize_each(rows, objectives, num_vars, nonneg):
-                read.append(outcome.status)
-                yield outcome
+            outcomes = hcara.lp.maximize_each(rows, objectives, num_vars, nonneg)
+            read.extend(o.status for o in outcomes)
+            return outcomes
 
         def spy(name, real):
             def wrapped(*args, **kwargs):
@@ -1114,14 +1108,24 @@ class TestHullImplication:
         monkeypatch.setattr(hcara.strong, "maximize_each", each)
         assert h_hull_contains(CUBE2.normal_set(), X, p) is inside
         assert h_subset_strong_check(CUBE2, X, p)
-        assert calls == ["levels", "hull_rule", "maximize_each"]
-        assert len(read) == (len(CUBE2) if inside else 1)
+        assert calls == ["levels", "maximize_each", "hull_rule"]
+        assert read == [LpStatus.OPTIMAL] * len(CUBE2)
         calls.clear()
         assert h_subset_strong_check(CUBE2, X, p, (F(1), F(0)), (F(3), F(0)), p)
-        assert calls[0] == "levels"
-        assert sorted(calls) == ["hull_rule"] * 4 + ["levels", "maximize_each"]
-        # the second region reads every optimum once, for (1, 0)
-        assert len(read) == (len(CUBE2) if inside else 1) + len(CUBE2)
+        assert calls == ["levels", "maximize_each"] + ["hull_rule"] * 4
+        assert len(read) == 2 * len(CUBE2)
+
+    def test_no_points_solve_no_lp(self, monkeypatch):
+        # With no points there is nothing to decide, so no region is built,
+        # even for an X that fits in no translate.
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(hcara.strong, "maximize_each", no_lp)
+        monkeypatch.setattr(hcara.strong, "feasible_point", no_lp)
+        for points in (((0, 0), (1, 1)), ((0, 0), (2, 0))):
+            X = PointSet(2, tuple(tuple(map(F, x)) for x in points))
+            assert h_subset_strong_check(CUBE2, X)
 
     def test_no_points_and_errors(self):
         X = PointSet(2, ((F(0), F(0)), (F(1), F(1))))
